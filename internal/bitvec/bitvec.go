@@ -33,20 +33,17 @@ func New(positions ...int) Vector {
 
 // Set sets bit i. It panics if i is out of range.
 func (v *Vector) Set(i int) {
-	checkIndex(i)
-	v[i>>6] |= 1 << uint(i&63)
+	v[uint(i)>>6] |= 1 << (uint(i) & 63)
 }
 
 // Clear clears bit i. It panics if i is out of range.
 func (v *Vector) Clear(i int) {
-	checkIndex(i)
-	v[i>>6] &^= 1 << uint(i&63)
+	v[uint(i)>>6] &^= 1 << (uint(i) & 63)
 }
 
 // Test reports whether bit i is set. It panics if i is out of range.
 func (v Vector) Test(i int) bool {
-	checkIndex(i)
-	return v[i>>6]&(1<<uint(i&63)) != 0
+	return v[uint(i)>>6]&(1<<(uint(i)&63)) != 0
 }
 
 // Count returns the number of set bits (the register working-set size).
@@ -148,10 +145,4 @@ func (v Vector) String() string {
 	})
 	sb.WriteByte('}')
 	return sb.String()
-}
-
-func checkIndex(i int) {
-	if i < 0 || i >= Bits {
-		panic(fmt.Sprintf("bitvec: index %d out of range [0,%d)", i, Bits))
-	}
 }

@@ -15,15 +15,29 @@ import (
 // narrower crossbar would exhibit a traversal latency 4x larger ... and far
 // larger latency when the crossbar is saturated and queuing effects become
 // dominant" — the lane BankSet produces exactly those queueing effects).
+//
+// Every register move costs a fixed amount: the lane and write-back
+// interval are precomputed, victims leave the occupied queue in one walk
+// per operation (WarpRegs.takeOldest, releaseSet), and each eviction frees
+// its slot in constant time. What stays observable is the order of the
+// moves — write-backs and fetches on each crossbar lane, and the banks
+// pushed onto the unused queue — which is the order of the per-register
+// reference in reference_test.go.
 type cached struct {
-	cfg       Config
-	main      *BankSet
-	cache     *BankSet
-	xbar      *BankSet // per-lane pipelined occupancy (1 cycle per register)
-	xbarLat   int64    // traversal latency added after the lane slot
-	xbarLanes int
-	net       int64
-	st        Stats
+	cfg   Config
+	main  *BankSet
+	cache *BankSet
+	xbar  *BankSet // per-lane pipelined occupancy (1 cycle per register)
+	// lane maps each main-RF bank to its crossbar lane (bank mod lanes),
+	// and wbInit is the main bank's write initiation interval a write-back
+	// pays after its lane slot: both fixed per design point, so no
+	// register move pays a division or a float rounding.
+	lane   []int32
+	wbInit int64
+	net    int64
+	st     Stats
+	// victims is PREFETCH's eviction scratch (one entry per cache bank).
+	victims []isa.Reg
 }
 
 func newCached(cfg Config) cached {
@@ -31,15 +45,20 @@ func newCached(cfg Config) cached {
 	if lanes < 1 {
 		lanes = 1
 	}
-	return cached{
-		cfg:       cfg,
-		main:      NewBankSet(cfg.Banks, cfg.MainBankInitiation(), cfg.MainBankCycles()),
-		cache:     NewBankSet(cfg.CacheBanks, 1, cfg.CacheCycles),
-		xbar:      NewBankSet(lanes, 1, cfg.XbarCyclesPerReg),
-		xbarLat:   int64(cfg.XbarCyclesPerReg),
-		xbarLanes: lanes,
-		net:       int64(cfg.MainNetCycles()),
+	c := cached{
+		cfg:     cfg,
+		main:    NewBankSet(cfg.Banks, cfg.MainBankInitiation(), cfg.MainBankCycles()),
+		cache:   NewBankSet(cfg.CacheBanks, 1, cfg.CacheCycles),
+		xbar:    NewBankSet(lanes, 1, cfg.XbarCyclesPerReg),
+		lane:    make([]int32, cfg.Banks),
+		wbInit:  int64(cfg.MainBankInitiation()),
+		net:     int64(cfg.MainNetCycles()),
+		victims: make([]isa.Reg, 0, cfg.CacheBanks),
 	}
+	for b := range c.lane {
+		c.lane[b] = int32(b % lanes)
+	}
+	return c
 }
 
 func (c *cached) Stats() *Stats  { return &c.st }
@@ -71,7 +90,7 @@ func (c *cached) fetchReg(now int64, w *WarpRegs, r isa.Reg) int64 {
 	c.st.MainReads++
 	bank := mainBank(c.cfg.Banks, w.ID, int(r))
 	bankDone := c.main.Access(now, bank)
-	laneDone := c.xbar.Access(now, bank%c.xbarLanes)
+	laneDone := c.xbar.Access(now, int(c.lane[bank]))
 	if bankDone > laneDone {
 		return bankDone
 	}
@@ -85,71 +104,42 @@ func (c *cached) fetchReg(now int64, w *WarpRegs, r isa.Reg) int64 {
 func (c *cached) writebackReg(now int64, w *WarpRegs, r isa.Reg) int64 {
 	c.st.MainWrites++
 	c.st.WritebackRegs++
-	bank := mainBank(c.cfg.Banks, w.ID, int(r))
-	return c.xbar.Access(now, bank%c.xbarLanes) + int64(c.cfg.MainBankInitiation())
+	return c.xbar.Access(now, int(c.lane[mainBank(c.cfg.Banks, w.ID, int(r))])) + c.wbInit
 }
 
-// evictFor frees one cache slot using FIFO replacement, writing the victim
-// back if it is dirty. Returns when the slot is reusable (approximated as
-// immediately; the writeback drains in the background).
-func (c *cached) evictFor(now int64, w *WarpRegs) {
-	victim := w.fifoVictim()
-	if victim == isa.RegNone {
-		return
-	}
-	if w.Dirty.Test(int(victim)) {
-		c.writebackReg(now, w, victim)
-	}
-	w.release(victim)
-}
-
-// evictForAvoiding frees one slot like evictFor but prefers the oldest
-// victim OUTSIDE the protected working set, so a PREFETCH never evicts the
-// registers it just brought in.
-func (c *cached) evictForAvoiding(now int64, w *WarpRegs, protect bitvec.Vector, plusLive bool) {
-	victim := isa.RegNone
-	for _, r := range w.fifo {
-		if !protect.Test(int(r)) {
-			victim = r
-			break
-		}
-	}
-	if victim == isa.RegNone {
-		victim = w.fifoVictim()
-	}
-	if victim == isa.RegNone {
-		return
-	}
+// evict frees victim's cache slot, writing it back first when it is dirty
+// (and, with plusLive, still live). The slot is reusable immediately; the
+// write-back drains in the background. The caller has already taken victim
+// off the occupied queue.
+func (c *cached) evict(now int64, w *WarpRegs, victim isa.Reg, plusLive bool) {
 	if w.Dirty.Test(int(victim)) && (!plusLive || w.Live.Test(int(victim))) {
 		c.writebackReg(now, w, victim)
 	}
-	w.release(victim)
+	w.freeSlot(victim)
 }
 
-// installReg allocates a slot for r (evicting if needed).
+// installReg allocates a slot for r, evicting the oldest resident register
+// (FIFO replacement) when the partition is full.
 func (c *cached) installReg(now int64, w *WarpRegs, r isa.Reg) {
 	if w.Present.Test(int(r)) {
 		return
 	}
 	if w.FreeSlots() == 0 {
-		c.evictFor(now, w)
+		c.evict(now, w, w.popOldest(), false)
 	}
 	w.allocate(r)
 }
 
-// flush writes back and releases all resident registers selected by sel
-// (nil = all resident), returning the last completion time.
+// flush writes back the resident registers in writeBack, in ascending
+// register order, and releases the whole partition; it returns the last
+// write-back's completion time.
 func (c *cached) flush(now int64, w *WarpRegs, writeBack bitvec.Vector) int64 {
 	done := now
-	resident := w.Present
-	resident.ForEach(func(i int) {
-		r := isa.Reg(i)
-		if writeBack.Test(i) {
-			if t := c.writebackReg(now, w, r); t > done {
-				done = t
-			}
+	writeBack.Intersect(w.Present).ForEach(func(i int) {
+		if t := c.writebackReg(now, w, isa.Reg(i)); t > done {
+			done = t
 		}
-		w.release(r)
 	})
+	w.releaseSet(w.Present)
 	return done
 }

@@ -98,6 +98,13 @@ func (c *LTRF) WriteResult(now int64, w *WarpRegs, dst isa.Reg) int64 {
 // into a recently executed unit fetches little. The warp stalls until its
 // last register arrives; other active warps keep issuing, which is the
 // latency overlap at the heart of LTRF.
+//
+// The eviction count is known up front (missing registers beyond the free
+// slots), so one walk of the occupied queue takes every victim, oldest
+// first; each is evicted just before the fetch that needs its slot, which
+// keeps the write-back/fetch order on every crossbar lane. When the
+// working set outgrows the partition, the victims run out and the oldest
+// resident — a working-set register — goes instead.
 func (c *LTRF) OnUnitEnter(now int64, w *WarpRegs, unitID int, ws bitvec.Vector) int64 {
 	if unitID == w.CurUnit {
 		return now
@@ -106,11 +113,24 @@ func (c *LTRF) OnUnitEnter(now int64, w *WarpRegs, unitID int, ws bitvec.Vector)
 
 	done := now
 	fetch := ws.Diff(w.Present)
+	free := w.FreeSlots()
+	victims := c.victims[:0]
+	if n := fetch.Count(); n > free {
+		victims = w.takeOldest(ws, n-free, victims)
+	}
+	k := 0 // fetches so far
 	fetch.ForEach(func(i int) {
 		r := isa.Reg(i)
-		if w.FreeSlots() == 0 {
-			c.evictForAvoiding(now, w, ws, c.plus)
+		if k >= free {
+			var victim isa.Reg
+			if j := k - free; j < len(victims) {
+				victim = victims[j]
+			} else {
+				victim = w.popOldest()
+			}
+			c.evict(now, w, victim, c.plus)
 		}
+		k++
 		w.allocate(r)
 		if c.plus && !w.Live.Test(i) {
 			// Dead register: allocate space only; its first access will
@@ -122,8 +142,12 @@ func (c *LTRF) OnUnitEnter(now int64, w *WarpRegs, unitID int, ws bitvec.Vector)
 			done = t
 		}
 	})
-	tracePrefetch("pf w=%d unit=%d now=%d stall=%d fetch=%d free0=%d mainU=%.2f xbarU=%.2f\n",
-		w.ID, unitID, now, done-now, fetch.Count(), c.main.free[0], c.main.Utilization(now+1), c.xbar.Utilization(now+1))
+	if prefetchTrace {
+		// Guarded here, not only inside the hook: evaluating and boxing
+		// the arguments costs a PREFETCH allocations even with tracing off.
+		tracePrefetch("pf w=%d unit=%d now=%d stall=%d fetch=%d free0=%d mainU=%.2f xbarU=%.2f\n",
+			w.ID, unitID, now, done-now, fetch.Count(), c.main.free[0], c.main.Utilization(now+1), c.xbar.Utilization(now+1))
+	}
 
 	w.WS = ws
 	w.CurUnit = unitID
@@ -144,10 +168,7 @@ func (c *LTRF) OnActivate(now int64, w *WarpRegs) int64 {
 		if w.Present.Test(i) {
 			return
 		}
-		if w.FreeSlots() == 0 {
-			c.evictFor(now, w)
-		}
-		w.allocate(r)
+		c.installReg(now, w, r)
 		if c.plus && !w.Live.Test(i) {
 			return
 		}

@@ -85,10 +85,10 @@ func TestWarpRegsAllocateRelease(t *testing.T) {
 		seen[b] = true
 	}
 	// FIFO victim is the first allocated.
-	if v := w.fifoVictim(); v != 10 {
+	if v := w.popOldest(); v != 10 {
 		t.Errorf("fifo victim = %v, want R10", v)
 	}
-	w.release(10)
+	w.freeSlot(10)
 	if w.FreeSlots() != 1 || w.Present.Test(10) {
 		t.Error("release must free the slot and clear presence")
 	}
@@ -377,7 +377,7 @@ func TestQuickRFCInvariants(t *testing.T) {
 				rfc.ReadOperands(now, w, []isa.Reg{r})
 			}
 			// Shared cache occupancy never exceeds its slot count.
-			if len(rfc.fifo) > 8 || w.Present.Count() > 8 {
+			if rfc.n > 8 || w.Present.Count() > 8 {
 				return false
 			}
 			if lastWritten != isa.RegNone && op%3 == 0 && !w.Present.Test(int(lastWritten)) {
@@ -421,5 +421,55 @@ func TestQuickLTRFWorkingSetResident(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRegisterMovesAllocationFree pins the per-instruction and per-PREFETCH
+// bookkeeping at zero heap allocations: LTRF and LTRF+ unit entries that
+// evict (including past the victims when the working set outgrows the
+// partition), RFC result writes that evict from the shared FIFO, and the
+// bulk flush of a deactivation. The PREFETCH trace hook is off, so it must
+// cost nothing either.
+func TestRegisterMovesAllocationFree(t *testing.T) {
+	cfg := testConfig(4)
+	cfg.CacheBanks = 8
+	cfg.SharedCacheRegs = 16
+	units := []bitvec.Vector{
+		bitvec.New(0, 1, 2, 3, 4, 5),
+		bitvec.New(6, 7, 8, 9, 10, 11),
+		bitvec.New(0, 2, 4, 6, 8, 10, 12, 14, 16, 18), // outgrows the partition
+	}
+	for _, plus := range []bool{false, true} {
+		l := NewLTRF(cfg, plus)
+		w := NewWarpRegs(3, cfg.CacheBanks)
+		w.Live = bitvec.New(0, 1, 2, 3, 6, 7, 12, 14)
+		now, unit := int64(0), 0
+		if a := testing.AllocsPerRun(200, func() {
+			now += 10
+			unit++
+			l.OnUnitEnter(now, w, unit, units[unit%len(units)])
+			l.WriteResult(now, w, isa.Reg(unit%12))
+		}); a != 0 {
+			t.Errorf("%s OnUnitEnter allocates %.1f times per call, want 0", l.Name(), a)
+		}
+		if a := testing.AllocsPerRun(200, func() {
+			now += 10
+			unit++
+			l.OnUnitEnter(now, w, unit, units[unit%len(units)])
+			l.WriteResult(now, w, isa.Reg(unit%12))
+			l.OnDeactivate(now, w)
+		}); a != 0 {
+			t.Errorf("%s flush allocates %.1f times per call, want 0", l.Name(), a)
+		}
+	}
+	rfc := NewRFC(cfg)
+	ws := []*WarpRegs{NewWarpRegs(1, cfg.CacheBanks), NewWarpRegs(2, cfg.CacheBanks)}
+	now, k := int64(0), 0
+	if a := testing.AllocsPerRun(500, func() {
+		now++
+		k++
+		rfc.WriteResult(now, ws[k%2], isa.Reg(k%23))
+	}); a != 0 {
+		t.Errorf("RFC WriteResult allocates %.1f times per call, want 0", a)
 	}
 }

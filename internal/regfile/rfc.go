@@ -13,15 +13,10 @@ func init() {
 	})
 }
 
-// rfcKey identifies one warp-register in the shared cache.
-type rfcKey struct {
-	warp int
-	reg  isa.Reg
-}
-
+// rfcEntry is one warp-register resident in the shared cache.
 type rfcEntry struct {
-	key rfcKey
 	wr  *WarpRegs
+	reg isa.Reg
 }
 
 // RFC is the hardware register-file cache of Gebhart et al. [19] as the
@@ -32,11 +27,15 @@ type rfcEntry struct {
 // temporaries have little temporal locality, and there is no spatial
 // locality to exploit — so read misses expose the full main-RF latency,
 // capping its latency tolerance around 2x (§6.3).
+//
+// Membership lives in each warp's WarpRegs.Present (a warp's registers are
+// resident exactly when their entries are in the FIFO), so a lookup is one
+// bit test. The FIFO is a ring preallocated to the cache's capacity.
 type RFC struct {
 	cached
-	slots   int
-	fifo    []rfcEntry
-	present map[rfcKey]bool
+	fifo []rfcEntry // ring of len slots, oldest at head
+	head int
+	n    int
 }
 
 // NewRFC builds the [19]-style shared hardware register cache.
@@ -46,38 +45,43 @@ func NewRFC(cfg Config) *RFC {
 		slots = cfg.CacheBanks * 8
 	}
 	return &RFC{
-		cached:  newCached(cfg),
-		slots:   slots,
-		present: make(map[rfcKey]bool, slots),
+		cached: newCached(cfg),
+		fifo:   make([]rfcEntry, slots),
 	}
 }
 
 func (c *RFC) Name() string { return "RFC" }
 
-// has reports whether (warp, reg) is resident in the shared cache.
-func (c *RFC) has(w *WarpRegs, r isa.Reg) bool {
-	return c.present[rfcKey{w.ID, r}]
+// next steps a ring index.
+func (c *RFC) next(i int) int {
+	if i++; i == len(c.fifo) {
+		return 0
+	}
+	return i
 }
 
 // install inserts (warp, reg), evicting the FIFO victim if the cache is
 // full; a dirty victim is written back to the main RF.
 func (c *RFC) install(now int64, w *WarpRegs, r isa.Reg) {
-	key := rfcKey{w.ID, r}
-	if c.present[key] {
+	if w.Present.Test(int(r)) {
 		return
 	}
-	if len(c.fifo) >= c.slots {
-		victim := c.fifo[0]
-		c.fifo = c.fifo[1:]
-		delete(c.present, victim.key)
-		if victim.wr.Dirty.Test(int(victim.key.reg)) {
-			c.writebackReg(now, victim.wr, victim.key.reg)
+	if c.n == len(c.fifo) {
+		victim := c.fifo[c.head]
+		c.head = c.next(c.head)
+		c.n--
+		if victim.wr.Dirty.Test(int(victim.reg)) {
+			c.writebackReg(now, victim.wr, victim.reg)
 		}
-		victim.wr.Present.Clear(int(victim.key.reg))
-		victim.wr.Dirty.Clear(int(victim.key.reg))
+		victim.wr.Present.Clear(int(victim.reg))
+		victim.wr.Dirty.Clear(int(victim.reg))
 	}
-	c.fifo = append(c.fifo, rfcEntry{key, w})
-	c.present[key] = true
+	tail := c.head + c.n
+	if tail >= len(c.fifo) {
+		tail -= len(c.fifo)
+	}
+	c.fifo[tail] = rfcEntry{w, r}
+	c.n++
 	w.Present.Set(int(r))
 }
 
@@ -99,7 +103,7 @@ func (c *RFC) ReadOperands(now int64, w *WarpRegs, srcs []isa.Reg) int64 {
 	for _, r := range srcs {
 		c.st.CacheReads++
 		var t int64
-		if c.has(w, r) {
+		if w.Present.Test(int(r)) {
 			c.st.CacheReadHits++
 			c.st.WCBAccesses++
 			t = c.cache.Access(start+int64(c.cfg.WCBCycles), c.cacheBankOf(w, r))
@@ -132,25 +136,29 @@ func (c *RFC) OnUnitEnter(now int64, w *WarpRegs, unitID int, ws bitvec.Vector) 
 // OnActivate performs no refill: the cache refills on demand.
 func (c *RFC) OnActivate(now int64, w *WarpRegs) int64 { return now }
 
-// OnDeactivate flushes the warp's entries: dirty registers are written back
-// and the slots are freed for other warps.
+// OnDeactivate flushes the warp's entries in one compacting walk of the
+// FIFO: dirty registers are written back, oldest first, and the slots are
+// freed for other warps.
 func (c *RFC) OnDeactivate(now int64, w *WarpRegs) int64 {
 	done := now
-	kept := c.fifo[:0]
-	for _, e := range c.fifo {
-		if e.key.warp != w.ID {
-			kept = append(kept, e)
+	src, out, kept := c.head, c.head, 0
+	for k := 0; k < c.n; k++ {
+		e := c.fifo[src]
+		src = c.next(src)
+		if e.wr != w {
+			c.fifo[out] = e
+			out = c.next(out)
+			kept++
 			continue
 		}
-		delete(c.present, e.key)
-		if w.Dirty.Test(int(e.key.reg)) {
-			if t := c.writebackReg(now, w, e.key.reg); t > done {
+		if w.Dirty.Test(int(e.reg)) {
+			if t := c.writebackReg(now, w, e.reg); t > done {
 				done = t
 			}
 		}
-		w.Present.Clear(int(e.key.reg))
-		w.Dirty.Clear(int(e.key.reg))
+		w.Present.Clear(int(e.reg))
+		w.Dirty.Clear(int(e.reg))
 	}
-	c.fifo = kept
+	c.n = kept
 	return done
 }

@@ -75,13 +75,10 @@ func (c *SHRF) OnUnitEnter(now int64, w *WarpRegs, unitID int, ws bitvec.Vector)
 	}
 	c.st.Prefetches++ // counts strand-boundary movement operations
 	evict := w.Present.Diff(ws)
-	evict.ForEach(func(i int) {
-		r := isa.Reg(i)
-		if w.Dirty.Test(i) && w.Live.Test(i) {
-			c.writebackReg(now, w, r)
-		}
-		w.release(r)
+	evict.Intersect(w.Dirty).Intersect(w.Live).ForEach(func(i int) {
+		c.writebackReg(now, w, isa.Reg(i))
 	})
+	w.releaseSet(evict)
 	w.WS = ws
 	w.CurUnit = unitID
 	return now

@@ -8,9 +8,9 @@ import (
 // WarpRegs is the per-warp register bookkeeping shared by all cached
 // designs. It models the Warp Control Block of Figure 7 (register cache
 // address table + working-set bit-vector + liveness bit-vector) and the
-// per-warp address allocation unit of Figure 8 (the unused/occupied queues
-// become a free-bank FIFO plus the allocation-order list used for FIFO
-// replacement).
+// per-warp address allocation unit of Figure 8 (the unused and occupied
+// queues become two rings of cacheBanks entries: free banks, and resident
+// registers in allocation order for FIFO replacement).
 type WarpRegs struct {
 	ID int
 
@@ -36,12 +36,20 @@ type WarpRegs struct {
 	addrTable [isa.MaxArchRegs]int16
 	// freeBanks is the unused queue of the address allocation unit: a ring
 	// buffer (at most cacheBanks entries are ever free), so the dequeue/
-	// enqueue cycle of allocate/release never reallocates.
+	// enqueue cycle of allocate/freeSlot never reallocates.
 	freeBanks []int16
 	freeHead  int
 	freeLen   int
-	// fifo records allocation order for FIFO replacement (RFC/SHRF).
-	fifo []isa.Reg
+	// fifo is the occupied queue: resident registers in allocation order,
+	// oldest at fifoHead, for FIFO replacement. It is a ring of cacheBanks
+	// entries — every occupied bank holds exactly one entry, so fifoLen +
+	// freeLen == cacheBanks and the ring never overflows. Every move costs
+	// a fixed amount: allocate appends, popOldest dequeues the head, and
+	// removals from the middle (PREFETCH victims, strand eviction, flush)
+	// are batched into one compacting walk per operation.
+	fifo     []isa.Reg
+	fifoHead int
+	fifoLen  int
 }
 
 // NewWarpRegs creates the bookkeeping for one warp with a cache partition of
@@ -64,15 +72,18 @@ func (w *WarpRegs) Reset(cacheBanks int) {
 	}
 	if cap(w.freeBanks) < cacheBanks {
 		w.freeBanks = make([]int16, cacheBanks)
+		w.fifo = make([]isa.Reg, cacheBanks)
 	} else {
 		w.freeBanks = w.freeBanks[:cacheBanks]
+		w.fifo = w.fifo[:cacheBanks]
 	}
 	for i := 0; i < cacheBanks; i++ {
 		w.freeBanks[i] = int16(i)
 	}
 	w.freeHead = 0
 	w.freeLen = cacheBanks
-	w.fifo = w.fifo[:0]
+	w.fifoHead = 0
+	w.fifoLen = 0
 }
 
 // CacheBank returns the cache bank holding register r, or -1.
@@ -92,47 +103,95 @@ func (w *WarpRegs) allocate(r isa.Reg) bool {
 		return false
 	}
 	bank := w.freeBanks[w.freeHead]
-	w.freeHead++
-	if w.freeHead == len(w.freeBanks) {
-		w.freeHead = 0
-	}
+	w.freeHead = w.ringNext(w.freeHead)
 	w.freeLen--
 	w.addrTable[r] = bank
 	w.Present.Set(int(r))
-	w.fifo = append(w.fifo, r)
+	w.fifo[w.ringAdd(w.fifoHead, w.fifoLen)] = r
+	w.fifoLen++
 	return true
 }
 
-// release frees register r's cache bank back to the unused queue.
-func (w *WarpRegs) release(r isa.Reg) {
+// freeSlot returns resident register r's cache bank to the tail of the
+// unused queue. It does not touch the occupied queue: the caller has
+// already taken r off it (popOldest, takeOldest) or removes it in the same
+// operation (releaseSet).
+func (w *WarpRegs) freeSlot(r isa.Reg) {
 	bank := w.addrTable[r]
-	if bank == -1 {
-		return
-	}
 	w.addrTable[r] = -1
 	w.Present.Clear(int(r))
 	w.Dirty.Clear(int(r))
-	tail := w.freeHead + w.freeLen
-	if tail >= len(w.freeBanks) {
-		tail -= len(w.freeBanks)
-	}
-	w.freeBanks[tail] = bank
+	w.freeBanks[w.ringAdd(w.freeHead, w.freeLen)] = bank
 	w.freeLen++
-	for i, fr := range w.fifo {
-		if fr == r {
-			w.fifo = append(w.fifo[:i], w.fifo[i+1:]...)
-			break
-		}
-	}
 }
 
-// fifoVictim returns the oldest resident register (FIFO replacement) or
-// RegNone when empty.
-func (w *WarpRegs) fifoVictim() isa.Reg {
-	if len(w.fifo) == 0 {
+// popOldest dequeues the oldest resident register (FIFO replacement) from
+// the occupied queue, or returns RegNone when the partition is empty. Its
+// slot stays allocated until the caller frees it.
+func (w *WarpRegs) popOldest() isa.Reg {
+	if w.fifoLen == 0 {
 		return isa.RegNone
 	}
-	return w.fifo[0]
+	r := w.fifo[w.fifoHead]
+	w.fifoHead = w.ringNext(w.fifoHead)
+	w.fifoLen--
+	return r
+}
+
+// takeOldest dequeues, in one walk that compacts the occupied queue, the n
+// oldest resident registers outside keep, appending them to dst in age
+// order; fewer come back when fewer qualify. The other entries keep their
+// order, and every slot stays allocated until the caller frees it.
+func (w *WarpRegs) takeOldest(keep bitvec.Vector, n int, dst []isa.Reg) []isa.Reg {
+	src, out := w.fifoHead, w.fifoHead
+	taken := 0
+	for k := 0; k < w.fifoLen; k++ {
+		r := w.fifo[src]
+		if taken < n && !keep.Test(int(r)) {
+			dst = append(dst, r)
+			taken++
+		} else {
+			w.fifo[out] = r
+			out = w.ringNext(out)
+		}
+		src = w.ringNext(src)
+	}
+	w.fifoLen -= taken
+	return dst
+}
+
+// releaseSet frees every register of set, which must all be resident:
+// their banks join the unused queue in ascending register order, and one
+// compacting walk drops them from the occupied queue.
+func (w *WarpRegs) releaseSet(set bitvec.Vector) {
+	set.ForEach(func(i int) { w.freeSlot(isa.Reg(i)) })
+	src, out := w.fifoHead, w.fifoHead
+	kept := 0
+	for k := 0; k < w.fifoLen; k++ {
+		if r := w.fifo[src]; !set.Test(int(r)) {
+			w.fifo[out] = r
+			out = w.ringNext(out)
+			kept++
+		}
+		src = w.ringNext(src)
+	}
+	w.fifoLen = kept
+}
+
+// ringNext and ringAdd step an index of the two cacheBanks-entry rings
+// (unused and occupied queues) with a compare instead of a division.
+func (w *WarpRegs) ringNext(i int) int {
+	if i++; i == len(w.fifo) {
+		return 0
+	}
+	return i
+}
+
+func (w *WarpRegs) ringAdd(i, k int) int {
+	if i += k; i >= len(w.fifo) {
+		i -= len(w.fifo)
+	}
+	return i
 }
 
 // WCBStorageBits returns the per-warp WCB storage cost in bits for the

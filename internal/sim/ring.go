@@ -75,10 +75,21 @@ type ringWake struct {
 // never allocate (TestReadyRingAllocationFree).
 //
 // Membership invariant (for warps in the active set): a warp with
-// Warp.wake <= cycle has its position's bit in armed; one with
+// wake cycle <= cycle has its position's bit in armed; one with
 // wake in (cycle, cycle+ringBuckets] has it in bucket wake%ringBuckets;
 // one with wake beyond that has a heap entry and no bit anywhere.
-// Compaction relies on this to rebuild the masks from Warp.wake alone.
+// Compaction relies on this to rebuild the masks from wake cycles alone.
+//
+// A warp's wake cycle is Warp.wake, except for a collector-bound warp (its
+// position bit set in coll): one whose last visit parked it on a busy
+// operand collector and that has not issued since. Such a warp's wake
+// cycle is max(Warp.wake, collAt), because parkCollBound re-parks every
+// armed collector-bound warp at once — at the pass's first collector-free
+// cycle, recorded in collAt — without touching the warps. The maximum is
+// exact: while every collector is busy their earliest free time cannot
+// move (a claim needs a free collector), so a collector-bound warp parked
+// individually before a bulk re-park carries that same target, and one
+// that had already woken was armed and so moved with the rest.
 type readyRing struct {
 	armed []uint64
 
@@ -91,6 +102,11 @@ type readyRing struct {
 	words    int
 
 	heap []ringWake
+
+	// coll marks collector-bound positions; collAt is the target of the
+	// latest bulk re-park (see the membership invariant).
+	coll   []uint64
+	collAt int64
 }
 
 // init sizes the ring for n resident warps (the active set can never
@@ -101,10 +117,35 @@ func (r *readyRing) init(n int) {
 	r.armed = make([]uint64, r.words)
 	r.buckets = make([]uint64, ringBuckets*r.words)
 	r.heap = make([]ringWake, 0, n)
+	r.coll = make([]uint64, r.words)
 }
 
 func (r *readyRing) set(pos int)   { r.armed[pos>>6] |= 1 << (pos & 63) }
 func (r *readyRing) clear(pos int) { r.armed[pos>>6] &^= 1 << (pos & 63) }
+
+// parkCollBound moves every armed collector-bound position into the wheel
+// bucket for cycle at in one mask operation per word, and records at as
+// their wake cycle. Parks beyond the wheel horizon would need per-warp heap
+// entries, so there it moves nothing and the scan visits the warps as
+// usual.
+func (r *readyRing) parkCollBound(at, now int64) {
+	if at-now > ringBuckets {
+		return
+	}
+	b := int(at & (ringBuckets - 1))
+	base := b * r.words
+	var moved uint64
+	for i := 0; i < r.words; i++ {
+		m := r.armed[i] & r.coll[i]
+		r.armed[i] &^= m
+		r.buckets[base+i] |= m
+		moved |= m
+	}
+	if moved != 0 {
+		r.occupied |= 1 << b
+	}
+	r.collAt = at
+}
 
 // nextArmed returns the lowest armed position in [from, to), or -1. The
 // issue scan uses it to jump directly between examinable warps.
@@ -270,11 +311,20 @@ func (sm *SM) ringParkScan(w *Warp, pos int, at int64) {
 	sm.wakeAt(at)
 }
 
+// ringParkColl parks the warp at position pos until the pass's first
+// collector-free cycle and marks it collector-bound.
+func (sm *SM) ringParkColl(w *Warp, pos int) {
+	sm.ringParkScan(w, pos, sm.collMin)
+	sm.ring.coll[pos>>6] |= 1 << (pos & 63)
+}
+
 // removeActiveIndexed is removeActive plus the mask rebuild: compaction
 // shifts positions down, so armed and wheel masks are re-derived from each
 // kept warp's wake cycle at its new position (see the membership
-// invariant on readyRing). Heap entries are position-independent (they
-// carry the warp index) and survive untouched.
+// invariant on readyRing), and collector-bound bits move with their warps
+// (new positions never exceed old ones, so the move is in place).
+// Heap entries are position-independent (they carry the warp index) and
+// survive untouched.
 func (sm *SM) removeActiveIndexed() {
 	r := &sm.ring
 	for i := 0; i < r.words; i++ {
@@ -290,13 +340,21 @@ func (sm *SM) removeActiveIndexed() {
 
 	now := sm.cycle
 	out := sm.active[:0]
-	for _, wid := range sm.active {
+	for i, wid := range sm.active {
 		w := sm.warps[wid]
+		bound := r.coll[i>>6]&(1<<(i&63)) != 0
+		r.coll[i>>6] &^= 1 << (i & 63)
 		if w.state != stateActive {
 			continue
 		}
 		pos := len(out)
 		w.slot = int32(pos)
+		if bound {
+			r.coll[pos>>6] |= 1 << (pos & 63)
+			if r.collAt > w.wake {
+				w.wake = r.collAt
+			}
+		}
 		if w.wake <= now {
 			r.set(pos)
 		} else if w.wake-now <= ringBuckets {
@@ -328,10 +386,10 @@ func (sm *SM) issueCycleIndexed() int {
 	width := sm.cfg.IssueWidth
 
 	// Two segments replace the wrapping modulo walk: [start, n), then
-	// [0, start). During the scan armed bits are only CLEARED, and only at
-	// the visited position, so a snapshot of the mask taken at segment
-	// start stays exact for every unvisited position — which is what lets
-	// the single-word fast path iterate a copied word.
+	// [0, start). During the scan armed bits are only CLEARED — at the
+	// visited position, or at unvisited collector-bound positions by a bulk
+	// re-park — so the single-word fast path iterates a copied word and
+	// masks it with the live word after each visit.
 	//
 	// rr < n on entry (every epilogue and rotation keeps it in range and
 	// refill only grows the set), so the linear scan's rr%n is a no-op; the
@@ -345,13 +403,13 @@ func (sm *SM) issueCycleIndexed() int {
 		// One mask word (up to 64 active slots — every default
 		// configuration): split the word at the rotation point and
 		// iterate set bits directly.
-		word := sm.ring.armed[0]
-		for m := word &^ (1<<start - 1); m != 0 && issued < width; m &= m - 1 {
+		armed := &sm.ring.armed[0]
+		for m := *armed &^ (1<<start - 1); m != 0 && issued < width; m &= (m - 1) & *armed {
 			di, dr := sm.visitActive(bits.TrailingZeros64(m), now)
 			issued += di
 			removed += dr
 		}
-		for m := word & (1<<start - 1); m != 0 && issued < width; m &= m - 1 {
+		for m := *armed & (1<<start - 1); m != 0 && issued < width; m &= (m - 1) & *armed {
 			di, dr := sm.visitActive(bits.TrailingZeros64(m), now)
 			issued += di
 			removed += dr
@@ -414,11 +472,18 @@ func (sm *SM) issueCycleIndexed() int {
 //     pass, exactly like the linear scan;
 //   - collector starvation: free times only move later (a claim needs a
 //     free collector, and none is free while anyone starves), so the
-//     pass's nextCollectorFree is exact until it arrives — park until it;
+//     pass's nextCollectorFree is exact until it arrives — park until it.
+//     The first starver of a pass also re-parks every armed
+//     collector-bound warp there in bulk: each such warp's visit would go
+//     straight to the collector check (its readyAt, unit and scoreboard
+//     verdict are frozen until it issues) and park at the same cycle, and
+//     the skipped visits add nothing to nextWake, which already holds it;
 //   - issue / barrier / finish / deactivation: identical actions, plus
 //     the corresponding ring transition (wheel offset 1, or dropping the
 //     position).
 func (sm *SM) visitActive(pos int, now int64) (issued, removed int) {
+	// A visit ends collector-bound status; a collector park sets it again.
+	sm.ring.coll[pos>>6] &^= 1 << (pos & 63)
 	wid := sm.active[pos]
 	w := sm.warps[wid]
 	if w.state != stateActive {
@@ -490,7 +555,7 @@ func (sm *SM) visitActive(pos int, now int64) (issued, removed int) {
 	col := -1
 	if m.nsrc > 0 {
 		if sm.collMin != 0 {
-			sm.ringParkScan(w, pos, sm.collMin)
+			sm.ringParkColl(w, pos)
 			return 0, 0
 		}
 		if col = sm.freeCollector(); col == -1 {
@@ -498,7 +563,10 @@ func (sm *SM) visitActive(pos int, now int64) (issued, removed int) {
 			// No collector frees before collMin (claims need a free one),
 			// and this warp's scoreboard stays satisfied — park until the
 			// first collector frees, where rotation order re-arbitrates.
-			sm.ringParkScan(w, pos, sm.collMin)
+			// Every armed collector-bound warp would do the same on its
+			// visit, so they all go there now.
+			sm.ringParkColl(w, pos)
+			sm.ring.parkCollBound(sm.collMin, now)
 			return 0, 0
 		}
 	}

@@ -162,6 +162,99 @@ func TestReadyRingMatchesReferenceScan(t *testing.T) {
 	}
 }
 
+// TestRingMembershipUnderBulkParking runs real SMs whose passes starve on
+// operand collectors — flat, static and two-level schedulers, one- and
+// two-word rings, compute, tiled and barrier kernels — with the event-driven
+// clock, and checks the ring's membership invariant after every advance,
+// including the collector-bound rule: a warp whose bit is in coll wakes at
+// max(Warp.wake, collAt). Positions past the active set hold no bits.
+func TestRingMembershipUnderBulkParking(t *testing.T) {
+	cases := []struct {
+		name        string
+		design      Design
+		sched       Scheduler
+		latX        float64
+		warps, coll int
+		width       int
+		prog        *isa.Program
+	}{
+		{"flat-bl-64", DesignBL, SchedFlat, 1, 64, 2, 4, aluKernel(120)},
+		{"flat-ltrf-96-tiled", DesignLTRF, SchedFlat, 2, 96, 2, 2, tiledKernel(13, 8)},
+		{"static-bl-96-one-collector", DesignBL, SchedStatic, 1, 96, 1, 1, aluKernel(60)},
+		{"twolevel-rfc-barriers", DesignRFC, SchedTwoLevel, 1, 80, 2, 2, barrierKernel(6, 4)},
+		{"flat-bl-72-barriers", DesignBL, SchedFlat, 1, 72, 2, 3, barrierKernel(6, 4)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := DefaultConfig(tc.design)
+			c.Tech = memtech.MustConfig(2)
+			c.Scheduler = tc.sched
+			c.LatencyX = tc.latX
+			c.MaxWarps = tc.warps
+			c.ActiveWarps = tc.warps
+			c.Collectors = tc.coll
+			c.IssueWidth = tc.width
+			c.MaxInstrs = 6000
+			c.MaxCycles = c.MaxInstrs * 12
+			sm := buildTestSM(t, c, tc.prog)
+			bulk := false
+			for sm.runnable() {
+				idle := sm.pass()
+				next := sm.cycle + 1
+				if idle {
+					next = sm.nextEventCycle()
+				}
+				sm.advanceTo(next, idle)
+				sm.ringWakeDue()
+				bulk = bulk || sm.ring.collAt != 0
+				checkRingMembership(t, sm)
+			}
+			if !bulk {
+				t.Error("no pass re-parked collector-bound warps in bulk; the case tests nothing")
+			}
+		})
+	}
+}
+
+func checkRingMembership(t *testing.T, sm *SM) {
+	t.Helper()
+	r := &sm.ring
+	now := sm.cycle
+	bit := func(mask []uint64, pos int) bool { return mask[pos>>6]&(1<<(pos&63)) != 0 }
+	for pos := 0; pos < r.words*64; pos++ {
+		inBuckets := 0
+		for b := 0; b < ringBuckets; b++ {
+			if bit(r.buckets[b*r.words:], pos) {
+				inBuckets++
+			}
+		}
+		if pos >= len(sm.active) {
+			if bit(r.armed, pos) || bit(r.coll, pos) || inBuckets != 0 {
+				t.Fatalf("cycle %d: position %d past the active set (%d) holds ring bits", now, pos, len(sm.active))
+			}
+			continue
+		}
+		w := sm.warps[sm.active[pos]]
+		wake := w.wake
+		if bit(r.coll, pos) && r.collAt > wake {
+			wake = r.collAt
+		}
+		// A parked warp is in its wake cycle's bucket or has a heap entry
+		// for it (a far park stays in the heap as its cycle nears).
+		inHeap := false
+		for _, e := range r.heap {
+			inHeap = inHeap || (e.wid == int32(w.local) && e.at == wake)
+		}
+		inBucket := wake > now && wake-now <= ringBuckets &&
+			bit(r.buckets[int(wake&(ringBuckets-1))*r.words:], pos)
+		if bit(r.armed, pos) != (wake <= now) || inBuckets > 1 ||
+			(wake > now && !inBucket && !inHeap) || (inBuckets == 1 && !inBucket) {
+			t.Fatalf("cycle %d: position %d (wake %d, collector-bound %v): armed %v, in %d buckets, in heap %v",
+				now, pos, wake, bit(r.coll, pos), bit(r.armed, pos), inBuckets, inHeap)
+		}
+	}
+}
+
 // TestReadyRingAllocationFree guards the ring's steady-state operations —
 // park (wheel and heap), merge, due-heap pops, arm/clear, minAt — against
 // heap allocations: everything must live in the arrays init preallocates.
@@ -299,19 +392,28 @@ func smemDoubleBufKernel(trips, tile int) *isa.Program {
 // starvation), streaming loads (scoreboard parks, two-level
 // deactivation/activation), tiled loops (mixed), barriers (park/unpark
 // plus barrier releases), and the double-buffered family shapes
-// (burst-waking prefetch scoreboards; barrier-fenced staging).
+// (burst-waking prefetch scoreboards; barrier-fenced staging). The
+// structural axes — operand collectors (1–16), issue width (1–4),
+// resident warps (1–128, so both the one-word and the multi-word ring
+// paths run) and the scheduler — decide how often whole passes starve on
+// collectors and how many collector-bound warps a bulk re-park moves.
 func FuzzIndexedScanEquivalence(f *testing.F) {
-	f.Add(0, 1, 1.0, 8, 3000, 0, 50, 4)   // BL, baseline tech: the PR 7 perf point
-	f.Add(3, 7, 6.3, 8, 3000, 1, 100, 6)  // LTRF at DWM, streaming: deactivation-heavy
-	f.Add(1, 4, 2.0, 4, 2500, 2, 12, 8)   // RFC, tiled, small active set
-	f.Add(0, 2, 1.5, 6, 2000, 3, 8, 10)   // BL with barriers
-	f.Add(4, 7, 6.3, 2, 1500, 3, 5, 3)    // LTRFPlus, barriers, tiny active set
-	f.Add(5, 1, 1.0, 16, 2000, 0, 200, 0) // Ideal, compute-bound, wide active set
-	f.Add(3, 7, 6.3, 2, 3000, 4, 40, 6)   // LTRF at DWM, register double buffering
-	f.Add(0, 6, 4.0, 4, 2500, 5, 33, 5)   // BL at TFET, smem double buffering
+	// The last four arguments map to Collectors 8, IssueWidth 2,
+	// MaxWarps 64 and the two-level scheduler: the default configuration.
+	f.Add(0, 1, 1.0, 8, 3000, 0, 50, 4, 7, 1, 63, 0)   // BL, baseline tech: the indexed-scan perf point
+	f.Add(3, 7, 6.3, 8, 3000, 1, 100, 6, 7, 1, 63, 0)  // LTRF at DWM, streaming: deactivation-heavy
+	f.Add(1, 4, 2.0, 4, 2500, 2, 12, 8, 7, 1, 63, 0)   // RFC, tiled, small active set
+	f.Add(0, 2, 1.5, 6, 2000, 3, 8, 10, 7, 1, 63, 0)   // BL with barriers
+	f.Add(4, 7, 6.3, 2, 1500, 3, 5, 3, 7, 1, 63, 0)    // LTRFPlus, barriers, tiny active set
+	f.Add(5, 1, 1.0, 16, 2000, 0, 200, 0, 7, 1, 63, 0) // Ideal, compute-bound, wide active set
+	f.Add(3, 7, 6.3, 2, 3000, 4, 40, 6, 7, 1, 63, 0)   // LTRF at DWM, register double buffering
+	f.Add(0, 6, 4.0, 4, 2500, 5, 33, 5, 7, 1, 63, 0)   // BL at TFET, smem double buffering
+	// testdata/fuzz adds collector-starved flat and static kernels over 64
+	// and 96 resident warps, which bulk re-park in both ring paths.
 
 	designs := []Design{DesignBL, DesignRFC, DesignSHRF, DesignLTRF, DesignLTRFPlus, DesignIdeal}
-	f.Fuzz(func(t *testing.T, design, tech int, latX float64, activeWarps, budget, kernel, kp1, kp2 int) {
+	scheds := []Scheduler{SchedTwoLevel, SchedStatic, SchedFlat}
+	f.Fuzz(func(t *testing.T, design, tech int, latX float64, activeWarps, budget, kernel, kp1, kp2, collectors, issueWidth, maxWarps, sched int) {
 		if latX < 1 || latX > 16 || math.IsNaN(latX) {
 			t.Skip()
 		}
@@ -322,6 +424,10 @@ func FuzzIndexedScanEquivalence(f *testing.F) {
 		c.ActiveWarps = ((activeWarps%16)+16)%16 + 1
 		c.MaxInstrs = int64(((budget%4000)+4000)%4000 + 500)
 		c.MaxCycles = c.MaxInstrs * 12
+		c.Collectors = ((collectors%16)+16)%16 + 1
+		c.IssueWidth = ((issueWidth%4)+4)%4 + 1
+		c.MaxWarps = ((maxWarps%128)+128)%128 + 1
+		c.Scheduler = scheds[((sched%len(scheds))+len(scheds))%len(scheds)]
 		if err := c.Validate(); err != nil {
 			t.Skip()
 		}

@@ -20,18 +20,22 @@ import (
 // The protocol is deliberately primitive — no daemon, no network, just the
 // shared filesystem the store already requires:
 //
-//   - Acquire: O_EXCL creation of lease/<addr> wins the point. The file
-//     carries the owner's name and a deadline; creation, not content,
-//     arbitrates.
+//   - Acquire: the owner writes its record (name and deadline) to a
+//     private file in tmp/ and hard-links it to lease/<addr>. The link
+//     wins the point; EEXIST means another owner holds it. Because the
+//     record is complete before the link publishes it, a lease file is
+//     never seen half-written, so a reader never mistakes a live lease
+//     for a torn one.
 //   - Hold: the winner computes and publishes the entry (Put), then
 //     releases. The deadline is the winner's promise — publish before it or
 //     lose the claim.
 //   - Wait: losers poll Has with the store's jittered retry backoff until
 //     the entry lands, re-attempting Acquire each round so a released or
 //     expired lease is picked up promptly.
-//   - Takeover: a lease whose deadline has passed is presumed crashed.
-//     Any waiter removes the stale file and re-runs the O_EXCL create;
-//     the create arbitrates between concurrent takers exactly like a fresh
+//   - Takeover: a lease whose deadline has passed (or whose file does not
+//     parse — only a hand-planted or foreign file can) is presumed
+//     crashed. Any waiter removes the stale file and re-runs the link; the
+//     link arbitrates between concurrent takers exactly like a fresh
 //     acquisition.
 //
 // Two benign races are accepted rather than locked away. (1) Two takers can
@@ -61,8 +65,8 @@ type Lease struct {
 }
 
 // leaseRecord is the lease file's JSON payload. It is forensic (who holds
-// this, until when) plus the takeover decision input; O_EXCL creation is
-// what arbitrates ownership.
+// this, until when) plus the takeover decision input; the link is what
+// arbitrates ownership.
 type leaseRecord struct {
 	Owner    string    `json:"owner"`
 	Deadline time.Time `json:"deadline"`
@@ -96,20 +100,9 @@ func (s *Store) AcquireLease(key, owner string, ttl time.Duration) (*Lease, erro
 	// The retry bound only guards against pathological acquire/release churn
 	// on one key; every normal outcome exits the loop in one or two rounds.
 	for attempt := 0; attempt < 64; attempt++ {
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		deadline := time.Now().Add(ttl)
+		err := s.linkLease(path, leaseRecord{Owner: owner, Deadline: deadline})
 		if err == nil {
-			deadline := time.Now().Add(ttl)
-			data, merr := json.Marshal(leaseRecord{Owner: owner, Deadline: deadline})
-			if merr == nil {
-				_, merr = f.Write(data)
-			}
-			if cerr := f.Close(); merr == nil {
-				merr = cerr
-			}
-			if merr != nil {
-				os.Remove(path)
-				return nil, fmt.Errorf("store: lease %s: %w", key, merr)
-			}
 			s.leasesAcquired.Add(1)
 			return &Lease{key: key, path: path, Owner: owner, Deadline: deadline}, nil
 		}
@@ -119,14 +112,15 @@ func (s *Store) AcquireLease(key, owner string, ttl time.Duration) (*Lease, erro
 		rec, rerr := readLease(path)
 		if rerr != nil {
 			if errors.Is(rerr, fs.ErrNotExist) {
-				continue // released between our create and read; re-contest
+				continue // released between our link and read; re-contest
 			}
-			// Unreadable or torn lease file: treat as stale below (zero
-			// deadline), so a crash mid-lease-write cannot wedge the key.
+			// Unreadable lease file (never one this protocol wrote):
+			// treat as stale below (zero deadline) so it cannot wedge the
+			// key.
 		}
 		if time.Now().After(rec.Deadline) {
-			// Stale: remove and re-run the O_EXCL create. The create — not
-			// this remove — arbitrates between concurrent takers; a failed
+			// Stale: remove and re-run the link. The link — not this
+			// remove — arbitrates between concurrent takers; a failed
 			// remove (someone else got there first) is equivalent progress.
 			if err := os.Remove(path); err == nil {
 				s.leaseTakeovers.Add(1)
@@ -138,6 +132,31 @@ func (s *Store) AcquireLease(key, owner string, ttl time.Duration) (*Lease, erro
 			key, rec.Owner, rec.Deadline.Format(time.RFC3339Nano), ErrLeaseHeld)
 	}
 	return nil, fmt.Errorf("store: lease %s: acquire/release churn exceeded retry bound: %w", key, ErrLeaseHeld)
+}
+
+// linkLease publishes rec at path only if no lease file exists there: it
+// writes the record to a private file in tmp/ (same filesystem) and
+// hard-links it into place, returning an fs.ErrExist error when another
+// lease holds the path. The private name is removed either way.
+func (s *Store) linkLease(path string, rec leaseRecord) error {
+	data, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(filepath.Join(s.dir, "tmp"), "lease-*")
+	if err != nil {
+		return err
+	}
+	tmpName := tmp.Name()
+	defer os.Remove(tmpName)
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return os.Link(tmpName, path)
 }
 
 func readLease(path string) (leaseRecord, error) {

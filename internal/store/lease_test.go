@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -62,6 +63,41 @@ func TestLeaseExclusiveUnderContention(t *testing.T) {
 	wg.Wait()
 	if won.Load() != 1 {
 		t.Fatalf("%d acquisitions succeeded, want exactly 1", won.Load())
+	}
+}
+
+func TestLeaseRaceHasOneWinnerAndNoTakeover(t *testing.T) {
+	// Goroutines released together race AcquireLease on one fresh key,
+	// round after round. A loser must never read the winner's lease file
+	// half-written, take it for torn, and remove it as stale: each round
+	// has exactly one winner and the store counts no takeover.
+	s := open(t, t.TempDir(), Options{Version: "v1"})
+	const rounds, n = 40, 8
+	for round := 0; round < rounds; round++ {
+		key := fmt.Sprintf("hot-%d", round)
+		start := make(chan struct{})
+		var won atomic.Int64
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if _, err := s.AcquireLease(key, "racer", time.Minute); err == nil {
+					won.Add(1)
+				} else if !errors.Is(err, ErrLeaseHeld) {
+					t.Errorf("unexpected acquire error: %v", err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if won.Load() != 1 {
+			t.Fatalf("round %d: %d acquisitions succeeded, want exactly 1", round, won.Load())
+		}
+	}
+	if s.LeaseTakeovers() != 0 {
+		t.Fatalf("takeovers=%d among live leases, want 0", s.LeaseTakeovers())
 	}
 }
 
