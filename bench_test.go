@@ -165,15 +165,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // warps stall for hundreds of cycles on every slow main-RF read and most
 // simulated cycles are dead. PR 5's fast-forward core is >=3x faster here
 // than the cycle-ticking loop it replaced (see BENCH_PR5.json).
+// BenchmarkSimulatorThroughputCycleAccurate in internal/sim runs the same
+// point on the test-only reference stack (one-cycle clock, linear scan).
 func BenchmarkSimulatorThroughputHighLatency(b *testing.B) {
 	benchThroughput(b, ltrf.SimOptions{Design: ltrf.BL, TechConfig: 7, LatencyX: 6.3, MaxInstrs: 30000}, "sgemm")
-}
-
-// BenchmarkSimulatorThroughputCycleAccurate is the same high-latency point
-// under SimOptions.ForceCycleAccurate — the escape hatch's cost, and a
-// standing measurement of what the fast-forward clock buys.
-func BenchmarkSimulatorThroughputCycleAccurate(b *testing.B) {
-	benchThroughput(b, ltrf.SimOptions{Design: ltrf.BL, TechConfig: 7, LatencyX: 6.3, MaxInstrs: 30000, ForceCycleAccurate: true}, "sgemm")
 }
 
 // BenchmarkSimulatorThroughputLowLatency measures the opposite regime from

@@ -74,7 +74,7 @@ func (p Point) config() (sim.Config, error) {
 	c.Tech = tech
 	c.LatencyX = p.LatencyX
 	c.MaxInstrs = p.Budget
-	c.MaxCycles = p.Budget * 12
+	c.MaxCycles = sim.CycleCap(p.Budget)
 	if p.RegsPerInterval != 0 {
 		c.RegsPerInterval = p.RegsPerInterval
 	}

@@ -160,7 +160,7 @@ func (o Options) evalSet() ([]workloads.Workload, error) {
 func (o Options) baseConfig(d sim.Design) sim.Config {
 	c := sim.DefaultConfig(d)
 	c.MaxInstrs = o.budget()
-	c.MaxCycles = c.MaxInstrs * 12
+	c.MaxCycles = sim.CycleCap(c.MaxInstrs)
 	return c
 }
 

@@ -142,13 +142,6 @@ func (c *LTRF) OnUnitEnter(now int64, w *WarpRegs, unitID int, ws bitvec.Vector)
 			done = t
 		}
 	})
-	if prefetchTrace {
-		// Guarded here, not only inside the hook: evaluating and boxing
-		// the arguments costs a PREFETCH allocations even with tracing off.
-		tracePrefetch("pf w=%d unit=%d now=%d stall=%d fetch=%d free0=%d mainU=%.2f xbarU=%.2f\n",
-			w.ID, unitID, now, done-now, fetch.Count(), c.main.free[0], c.main.Utilization(now+1), c.xbar.Utilization(now+1))
-	}
-
 	w.WS = ws
 	w.CurUnit = unitID
 	return done

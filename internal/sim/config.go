@@ -78,23 +78,18 @@ const (
 	// pins its slot — so kernels that hide latency in software (the
 	// pipelined family) lose the least under it.
 	SchedStatic Scheduler = "static"
-	// SchedFlat makes every resident warp schedulable (no active subset),
-	// the FlatScheduler ablation as a named mode.
+	// SchedFlat makes every resident warp schedulable (no active subset):
+	// the flat-scheduler ablation.
 	SchedFlat Scheduler = "flat"
 )
 
-// SchedulerMode resolves the configured scheduler: the Scheduler field when
-// set, else SchedFlat when the legacy FlatScheduler flag is set, else
-// SchedTwoLevel. Setting both Scheduler and FlatScheduler inconsistently is
-// rejected by Validate.
+// SchedulerMode resolves the configured scheduler: the Scheduler field,
+// or SchedTwoLevel when it is empty.
 func (c *Config) SchedulerMode() Scheduler {
-	if c.Scheduler != "" {
-		return c.Scheduler
+	if c.Scheduler == "" {
+		return SchedTwoLevel
 	}
-	if c.FlatScheduler {
-		return SchedFlat
-	}
-	return SchedTwoLevel
+	return c.Scheduler
 }
 
 // Descriptor resolves the design in the regfile registry; the error for an
@@ -146,7 +141,7 @@ type Config struct {
 	// it never affects timing.
 	Chip power.ChipConfig
 
-	MaxCycles int64 // hard stop
+	MaxCycles int64 // hard stop (CycleCap derives it from MaxInstrs)
 	MaxInstrs int64 // dynamic instruction budget
 
 	// DeactivateThreshold: an operand that will not be ready for at least
@@ -157,29 +152,16 @@ type Config struct {
 	// WideXbar uses a full-bandwidth (1 cycle/register) prefetch crossbar
 	// instead of the 4x-narrower one of §4.2 (ablation).
 	WideXbar bool
-	// FlatScheduler disables two-level scheduling, making all resident
-	// warps schedulable (ablation; BL and Ideal use this implicitly).
-	// Equivalent to Scheduler: SchedFlat; kept for back-compat with stored
-	// experiment points and the existing CLI flag.
-	FlatScheduler bool
-	// Scheduler selects the warp-scheduler variant for the PR 4
-	// reshuffle-sensitivity axis. Empty means SchedTwoLevel (the paper's
-	// scheduler) unless FlatScheduler is set. See SchedulerMode.
+	// Scheduler selects the warp-scheduler variant. Empty means
+	// SchedTwoLevel (the paper's scheduler); see SchedulerMode.
 	Scheduler Scheduler
-	// ForceCycleAccurate pins the simulator's historical reference stack:
-	// the one-cycle-per-pass clock instead of the event-driven fast-forward
-	// that jumps the dead spans in which no warp can issue, AND the linear
-	// issue scan that examines every active warp each pass instead of the
-	// indexed ready-ring scan (ring.go) that walks only armed warps. The
-	// two stacks produce IDENTICAL results — every Stats field, asserted by
-	// the equivalence property suite and fuzzed by
-	// FuzzIndexedScanEquivalence — so this is an escape hatch for debugging
-	// the scheduler cycle-by-cycle and for measuring the speedup itself,
-	// not a fidelity knob.
-	ForceCycleAccurate bool
-	// TrackDeactPCs records per-PC deactivation counts (diagnostic; costs a
-	// map update on the deactivation path, so it is off by default).
-	TrackDeactPCs bool
+
+	// reference selects the simulator's reference stack: the linear issue
+	// scan installed by reference_test.go (referenceIssue) and the
+	// one-cycle-per-pass clock. Only tests in this package set it; the
+	// equivalence, differential and fuzz suites compare the production
+	// stack against it.
+	reference bool
 
 	Seed uint64
 }
@@ -205,6 +187,21 @@ func DefaultConfig(d Design) Config {
 		DeactivateThreshold: 60,
 		Seed:                0x1234,
 	}
+}
+
+// cyclesPerInstr is the cycle cap's allowance per budgeted instruction: a
+// run that retires fewer than one instruction every 12 cycles on average
+// is truncated rather than left to run on.
+const cyclesPerInstr = 12
+
+// CycleCap returns the MaxCycles hard stop for a dynamic-instruction
+// budget: budget x 12, saturating at MaxInt64 instead of wrapping for
+// budgets above MaxInt64/12.
+func CycleCap(budget int64) int64 {
+	if budget > math.MaxInt64/cyclesPerInstr {
+		return math.MaxInt64
+	}
+	return budget * cyclesPerInstr
 }
 
 // BaseCapacityKB returns the main RF capacity BEFORE design scaling: the
@@ -334,9 +331,6 @@ func (c *Config) Validate() error {
 	case "", SchedTwoLevel, SchedStatic, SchedFlat:
 	default:
 		return fmt.Errorf("sim: unknown scheduler %q (known: %s, %s, %s)", c.Scheduler, SchedTwoLevel, SchedStatic, SchedFlat)
-	}
-	if c.FlatScheduler && c.Scheduler != "" && c.Scheduler != SchedFlat {
-		return fmt.Errorf("sim: FlatScheduler conflicts with Scheduler %q", c.Scheduler)
 	}
 	if err := c.Chip.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)

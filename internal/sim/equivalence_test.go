@@ -1,17 +1,19 @@
 package sim
 
-// The event-driven clock's correctness contract: the fast-forward core
-// (default) and the cycle-accurate escape hatch (Config.ForceCycleAccurate)
-// must produce IDENTICAL results — every Stats field, including the
-// scheduler counters the clock-jumping logic touches (activations,
-// deactivations, round-robin-order-dependent issue interleavings) and the
-// new IdleCycles accounting. The suite sweeps the full design x memtech x
+// The event-driven clock's correctness contract: the production stack
+// (fast-forward clock, indexed issue scan) and the reference stack of
+// reference_test.go (one-cycle clock, linear scan) must produce IDENTICAL
+// results — every Stats field, including the scheduler counters the
+// clock-jumping logic touches (activations, deactivations,
+// round-robin-order-dependent issue interleavings) and the IdleCycles
+// accounting. The suite sweeps the full design x memtech x
 // workload cross-product (with a high-latency multiplier leg, where dead
 // spans are longest and a jump bug would surface first) plus multi-SM
 // lockstep, whose fast-forward additionally must not perturb shared-L2/DRAM
 // interleaving.
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -22,23 +24,18 @@ import (
 	"ltrf/internal/workloads"
 )
 
-// runBothModes simulates one configuration under the fast-forward and
-// cycle-accurate clocks and fails the test unless the Stats are deeply
-// equal. It returns the fast-forward result for any further checks.
+// runBothModes simulates one configuration on the production and the
+// reference stacks and fails the test unless the Stats are deeply equal.
+// It returns the fast-forward result for any further checks.
 func runBothModes(t *testing.T, label string, c Config, prog *isa.Program, cc *CompileCache) Stats {
 	t.Helper()
-	c.ForceCycleAccurate = false
 	ff, err := RunWithCache(c, prog, cc)
 	if err != nil {
 		t.Fatalf("%s (fast-forward): %v", label, err)
 	}
-	c.ForceCycleAccurate = true
-	ca, err := RunWithCache(c, prog, cc)
-	if err != nil {
-		t.Fatalf("%s (cycle-accurate): %v", label, err)
-	}
+	ca := runReference(t, label, c, prog, cc)
 	if !reflect.DeepEqual(ff.Stats, ca.Stats) {
-		t.Errorf("%s: fast-forward diverges from cycle-accurate:\n  ff: %+v\n  ca: %+v",
+		t.Errorf("%s: production stack diverges from the reference:\n  ff: %+v\n  ca: %+v",
 			label, ff.Stats, ca.Stats)
 	}
 	if ff.IdleCycles < 0 || ff.IdleCycles > ff.Cycles {
@@ -83,10 +80,9 @@ func TestFastForwardEquivalenceCrossProduct(t *testing.T) {
 }
 
 // TestFastForwardEquivalenceDiagnostics covers the configuration corners
-// the cross-product holds fixed: the per-PC deactivation diagnostic map
-// (whose population order must survive clock-jumping), the flat-scheduler
-// ablation, the wide-crossbar ablation, and a tight MaxCycles budget that
-// the jump clamp must hit on exactly the historical cycle.
+// the cross-product holds fixed: the flat- and static-scheduler ablations,
+// the wide-crossbar ablation, and a tight MaxCycles budget that the jump
+// clamp must hit on exactly the historical cycle.
 func TestFastForwardEquivalenceDiagnostics(t *testing.T) {
 	cc := NewCompileCache()
 	kernel := streamKernel(10, 300)
@@ -95,14 +91,8 @@ func TestFastForwardEquivalenceDiagnostics(t *testing.T) {
 	base.MaxInstrs = 6000
 	base.MaxCycles = 6000 * 12
 
-	track := base
-	track.TrackDeactPCs = true
-
 	flat := base
-	flat.FlatScheduler = true
-
-	flatNamed := base
-	flatNamed.Scheduler = SchedFlat
+	flat.Scheduler = SchedFlat
 
 	static := base
 	static.Scheduler = SchedStatic
@@ -121,30 +111,13 @@ func TestFastForwardEquivalenceDiagnostics(t *testing.T) {
 		label string
 		cfg   Config
 	}{
-		{"track-deact-pcs", track},
 		{"flat-scheduler", flat},
-		{"flat-scheduler-named", flatNamed},
 		{"static-scheduler", static},
 		{"wide-xbar", wide},
 		{"tight-max-cycles", tight},
 		{"ideal-flat", ideal},
 	} {
-		tc.cfg.ForceCycleAccurate = false
-		ff, err := RunWithCache(tc.cfg, kernel, cc)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.label, err)
-		}
-		tc.cfg.ForceCycleAccurate = true
-		ca, err := RunWithCache(tc.cfg, kernel, cc)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.label, err)
-		}
-		if !reflect.DeepEqual(ff.Stats, ca.Stats) {
-			t.Errorf("%s: fast-forward diverges:\n  ff: %+v\n  ca: %+v", tc.label, ff.Stats, ca.Stats)
-		}
-		if !reflect.DeepEqual(ff.deactByPC, ca.deactByPC) {
-			t.Errorf("%s: deactByPC diverges: %v vs %v", tc.label, ff.deactByPC, ca.deactByPC)
-		}
+		runBothModes(t, tc.label, tc.cfg, kernel, cc)
 	}
 }
 
@@ -197,16 +170,11 @@ func TestGPUFastForwardEquivalence(t *testing.T) {
 			c.LatencyX = 4
 			kernel := tiledKernel(30, 10)
 
-			c.ForceCycleAccurate = false
 			ff, err := RunGPU(c, nSMs, kernel)
 			if err != nil {
 				t.Fatalf("%v/%dSM: %v", d, nSMs, err)
 			}
-			c.ForceCycleAccurate = true
-			ca, err := RunGPU(c, nSMs, kernel)
-			if err != nil {
-				t.Fatalf("%v/%dSM: %v", d, nSMs, err)
-			}
+			ca := runReferenceGPU(t, fmt.Sprintf("%v/%dSM", d, nSMs), c, nSMs, kernel)
 			if !reflect.DeepEqual(ff, ca) {
 				t.Errorf("%v/%dSM: GPU fast-forward diverges:\n  ff: %+v\n  ca: %+v", d, nSMs, ff, ca)
 			}

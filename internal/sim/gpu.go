@@ -119,8 +119,8 @@ func RunGPUCtx(ctx context.Context, c Config, nSMs int, virtual *isa.Program) (*
 	// cycle across the SMs, and only when EVERY still-runnable SM had an
 	// idle pass: during such a span no SM touches the shared L2/DRAM (idle
 	// passes make no memory accesses), so the interleaving — and with it
-	// every cache/row-buffer outcome — is unchanged.
-	fastForward := !c.ForceCycleAccurate
+	// every cache/row-buffer outcome — is unchanged. Config.reference pins
+	// the one-cycle-per-pass lockstep instead.
 	passed := make([]bool, nSMs)
 	idles := make([]bool, nSMs)
 	done := ctx.Done()
@@ -164,7 +164,7 @@ func RunGPUCtx(ctx context.Context, c Config, nSMs int, virtual *isa.Program) (*
 				continue
 			}
 			next := sm.cycle + 1
-			if fastForward && allIdle && minNext > next {
+			if !c.reference && allIdle && minNext > next {
 				next = minNext
 			}
 			sm.advanceTo(next, idles[i])

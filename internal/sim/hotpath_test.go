@@ -170,35 +170,6 @@ func TestFinishedCounterMatchesScan(t *testing.T) {
 	}
 }
 
-// TestDeactPCTrackingGated asserts the diagnostic map is only populated
-// under the config flag.
-func TestDeactPCTrackingGated(t *testing.T) {
-	kernel := streamKernel(8, 400)
-
-	c := DefaultConfig(DesignLTRF)
-	c.MaxInstrs = 20_000
-	res, err := Run(c, kernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.deactByPC != nil {
-		t.Error("deactByPC populated without TrackDeactPCs")
-	}
-
-	c.TrackDeactPCs = true
-	res2, err := Run(c, kernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Deactivations != res.Deactivations {
-		t.Fatalf("tracking changed behavior: %d vs %d deactivations",
-			res2.Deactivations, res.Deactivations)
-	}
-	if res2.Deactivations > 0 && res2.deactByPC == nil {
-		t.Error("TrackDeactPCs set but deactByPC empty despite deactivations")
-	}
-}
-
 // TestRunWithCacheMatchesRun asserts cached compilation changes nothing
 // about simulation results, and that the cache actually dedups compiles.
 func TestRunWithCacheMatchesRun(t *testing.T) {

@@ -41,8 +41,8 @@ package sim
 // scan would have examined and skipped without any state change (proven
 // case-by-case in visitActive, differentially by
 // TestReadyRingMatchesReferenceScan and FuzzIndexedScanEquivalence, and
-// end-to-end by the equivalence cross-product against the
-// ForceCycleAccurate linear-scan reference).
+// end-to-end by the equivalence cross-product against the linear-scan
+// reference in reference_test.go).
 //
 // Equivalence also needs nextWake (the event-driven clock's jump target)
 // to be unchanged: parked warps contribute their wake time through the
@@ -318,14 +318,16 @@ func (sm *SM) ringParkColl(w *Warp, pos int) {
 	sm.ring.coll[pos>>6] |= 1 << (pos & 63)
 }
 
-// removeActiveIndexed is removeActive plus the mask rebuild: compaction
-// shifts positions down, so armed and wheel masks are re-derived from each
-// kept warp's wake cycle at its new position (see the membership
-// invariant on readyRing), and collector-bound bits move with their warps
-// (new positions never exceed old ones, so the move is in place).
-// Heap entries are position-independent (they carry the warp index) and
-// survive untouched.
-func (sm *SM) removeActiveIndexed() {
+// removeActive compacts the active list, dropping every warp that left
+// stateActive during the current issue pass (deactivated, at a barrier, or
+// finished) while preserving the order of the remaining entries — without
+// allocating an index set per call. Compaction shifts positions down, so
+// the armed and wheel masks are re-derived from each kept warp's wake
+// cycle at its new position (see the membership invariant on readyRing),
+// and collector-bound bits move with their warps (new positions never
+// exceed old ones, so the move is in place). Heap entries are
+// position-independent (they carry the warp index) and survive untouched.
+func (sm *SM) removeActive() {
 	r := &sm.ring
 	for i := 0; i < r.words; i++ {
 		r.armed[i] = 0
@@ -369,11 +371,11 @@ func (sm *SM) removeActiveIndexed() {
 }
 
 // issueCycleIndexed is the indexed issue scan: identical arbitration to
-// issueCycleScan (greedy-then-oldest round-robin from rr%n, wrapping, up
-// to IssueWidth issues), but it walks only armed positions. Blocked warps
-// were parked with their wake cycles when they blocked, so the passes
-// between block and wake never touch them — visitActive proves each
-// skipped visit would have been a no-op.
+// the linear reference scan (greedy-then-oldest round-robin from rr%n,
+// wrapping, up to IssueWidth issues), but it walks only armed positions.
+// Blocked warps were parked with their wake cycles when they blocked, so
+// the passes between block and wake never touch them — visitActive proves
+// each skipped visit would have been a no-op.
 func (sm *SM) issueCycleIndexed() int {
 	sm.collMin = 0
 	sm.nextWake = sm.ring.minAt(sm.cycle)
@@ -432,7 +434,11 @@ func (sm *SM) issueCycleIndexed() int {
 	if removed > 0 {
 		sm.removeActive()
 	}
-	// Same greedy-then-oldest epilogue as the linear scan, with the modulos
+	// Greedy-then-oldest arbitration: keep priority on the current warp
+	// while it issues (issued > 0 keeps rr), advance otherwise. Greedy
+	// priority staggers the warps' progress through the kernel, which is
+	// what lets one warp's PREFETCH overlap other warps' execution instead
+	// of all warps reaching their PREFETCH in lockstep. The modulos are
 	// needed only when compaction shrank the set; otherwise rr < n already,
 	// so the advance is a compare-and-wrap.
 	if n2 := len(sm.active); n2 == 0 {
@@ -513,7 +519,12 @@ func (sm *SM) visitActive(pos int, now int64) (issued, removed int) {
 		}
 	}
 
-	// Scoreboard (see issueCycleScan for the two-level scheduling rules).
+	// Scoreboard. A warp blocked on a load result for longer than the
+	// threshold (i.e. a data-cache miss, not an L1 hit or ALU chain) is
+	// descheduled by the two-level scheduler — but only when some inactive
+	// warp could make use of the slot sooner, so eagerly activated warps
+	// are not bounced straight back (swap churn).
+	//
 	// sbOK skips the re-evaluation on wake: the warp has not issued since
 	// the evaluation that parked it, so its scoreboard is frozen and the
 	// stored verdict ("satisfied from the park's wake cycle on") is

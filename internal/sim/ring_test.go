@@ -2,12 +2,13 @@ package sim
 
 // Correctness suite for the indexed issue scan's readyRing (ring.go). The
 // end-to-end equivalence against the linear scan lives in
-// equivalence_test.go (the cross-product pins ForceCycleAccurate as the
-// reference) and FuzzIndexedScanEquivalence below; this file checks the
-// ring's own membership invariant differentially against a direct model,
-// under the exact operation mix the SM performs: mid-scan parks (wheel and
-// heap), clock advances of every span, activations appending positions,
-// compactions shifting them, and due-heap pops.
+// equivalence_test.go (the cross-product runs every point on the
+// reference stack of reference_test.go) and FuzzIndexedScanEquivalence
+// below; this file checks the ring's own membership invariant
+// differentially against a direct model, under the exact operation mix
+// the SM performs: mid-scan parks (wheel and heap), clock advances of
+// every span, activations appending positions, compactions shifting them,
+// and due-heap pops.
 
 import (
 	"math"
@@ -129,7 +130,7 @@ func TestReadyRingMatchesReferenceScan(t *testing.T) {
 				if len(drop) == 0 {
 					break
 				}
-				// Mirror removeActiveIndexed: zero the masks, re-derive each
+				// Mirror removeActive: zero the masks, re-derive each
 				// kept warp's membership from its wake cycle at its new
 				// position; heap entries (wid-keyed) survive untouched.
 				for i := range r.armed {
@@ -386,9 +387,9 @@ func smemDoubleBufKernel(trips, tile int) *isa.Program {
 
 // FuzzIndexedScanEquivalence fuzzes simulator configurations and kernel
 // shapes and asserts the indexed issue scan (plus the event-driven clock)
-// produces Stats deeply equal to the ForceCycleAccurate reference — the
-// linear scan ticking one cycle at a time. The kernel set spans the event
-// schedules the ring must replay exactly: pure compute (collector
+// produces Stats deeply equal to the reference stack of reference_test.go:
+// the linear scan ticking one cycle at a time. The kernel set spans the
+// event schedules the ring must replay exactly: pure compute (collector
 // starvation), streaming loads (scoreboard parks, two-level
 // deactivation/activation), tiled loops (mixed), barriers (park/unpark
 // plus barrier releases), and the double-buffered family shapes
@@ -449,16 +450,11 @@ func FuzzIndexedScanEquivalence(f *testing.F) {
 			prog = smemDoubleBufKernel(p1/16+2, p2)
 		}
 
-		c.ForceCycleAccurate = false
 		ff, err := Run(c, prog)
 		if err != nil {
 			t.Skip() // config rejected by a deeper layer: nothing to compare
 		}
-		c.ForceCycleAccurate = true
-		ca, err := Run(c, prog)
-		if err != nil {
-			t.Fatalf("reference run failed where indexed run succeeded: %v", err)
-		}
+		ca := runReference(t, "fuzz", c, prog, nil)
 		if !reflect.DeepEqual(ff.Stats, ca.Stats) {
 			t.Errorf("indexed scan diverges from linear reference:\n  indexed: %+v\n  linear:  %+v",
 				ff.Stats, ca.Stats)

@@ -181,10 +181,10 @@ func RunWithCacheCtx(ctx context.Context, c Config, virtual *isa.Program, cc *Co
 	}
 
 	// Table 3: the simulated system uses the two-level scheduler [19, 53]
-	// for every design, including the BL baseline. SchedFlat (or the legacy
-	// FlatScheduler flag) makes all resident warps schedulable; SchedStatic
-	// keeps the active/pending split but disables latency-driven swaps
-	// (resolved inside the SM via Config.SchedulerMode).
+	// for every design, including the BL baseline. SchedFlat makes all
+	// resident warps schedulable; SchedStatic keeps the active/pending
+	// split but disables latency-driven swaps (resolved inside the SM via
+	// Config.SchedulerMode).
 	warps := info.Warps
 	activeCap := c.ActiveWarps
 	if c.SchedulerMode() == SchedFlat {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"ltrf/internal/isa"
@@ -343,7 +344,7 @@ func TestFlatSchedulerAblation(t *testing.T) {
 	p := streamKernel(12, 20)
 	two := run(t, cfgAt(DesignLTRF, 2.0), p)
 	c := cfgAt(DesignLTRF, 2.0)
-	c.FlatScheduler = true
+	c.Scheduler = SchedFlat
 	flat := run(t, c, p)
 	if flat.Deactivations != 0 {
 		t.Errorf("flat scheduler must not deactivate warps, got %d", flat.Deactivations)
@@ -429,5 +430,25 @@ func TestRunGPUSharedMemoryContention(t *testing.T) {
 	if eight.PerSM[0].IPC > one.PerSM[0].IPC*1.15 {
 		t.Errorf("per-SM IPC should not improve under shared-DRAM contention: %v -> %v",
 			one.PerSM[0].IPC, eight.PerSM[0].IPC)
+	}
+}
+
+// TestCycleCapSaturates checks the budget-to-cycle-cap rule over budgets
+// on both sides of MaxInt64/12: the cap never falls below the budget and
+// never decreases as the budget grows.
+func TestCycleCapSaturates(t *testing.T) {
+	prev := int64(0)
+	for _, budget := range []int64{1, 40000, math.MaxInt64 / 12, math.MaxInt64/12 + 1, 1<<62 + 1, math.MaxInt64} {
+		got := CycleCap(budget)
+		if got < budget {
+			t.Errorf("CycleCap(%d) = %d, below the budget", budget, got)
+		}
+		if got < prev {
+			t.Errorf("CycleCap(%d) = %d, below the previous cap %d", budget, got, prev)
+		}
+		prev = got
+	}
+	if got := CycleCap(40000); got != 480000 {
+		t.Errorf("CycleCap(40000) = %d, want 480000", got)
 	}
 }

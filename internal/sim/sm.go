@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"ltrf/internal/core"
 	"ltrf/internal/isa"
@@ -36,9 +35,10 @@ type Stats struct {
 	// IdleCycles counts cycles in which the SM did nothing at all: no warp
 	// issued, activated, deactivated, or entered a prefetch stall — the dead
 	// spans the event-driven clock fast-forwards across. It accumulates
-	// identically under fast-forward and Config.ForceCycleAccurate (the
-	// equivalence property asserts it), and Cycles always includes it, so
-	// per-cycle quantities (IPC, chip leakage) are mode-independent.
+	// identically under fast-forward and the one-cycle reference clock of
+	// reference_test.go (the equivalence property asserts it), and Cycles
+	// always includes it, so per-cycle quantities (IPC, chip leakage) are
+	// mode-independent.
 	IdleCycles int64
 
 	Activations         int64 // warp activations (two-level scheduler)
@@ -81,8 +81,6 @@ type Stats struct {
 	// full-budget sample (it is identical under both clock modes; the
 	// equivalence property covers it).
 	Truncated bool
-
-	deactByPC map[int]int64 // diagnostic: deactivations per blocking PC
 }
 
 // ChipEvents bridges the simulator's counters to the chip-level energy
@@ -138,14 +136,10 @@ type SM struct {
 	// and holds it until its operand reads complete.
 	collectors []int64
 
-	// indexed selects the indexed issue scan (ring.go): passes walk only
-	// warps that can plausibly act instead of the whole active set. It is
-	// pinned off — along with the event-driven clock — by
-	// Config.ForceCycleAccurate, which thereby preserves the historical
-	// linear scan (issueCycleScan) as the reference the equivalence and
-	// differential suites compare against.
-	indexed bool
-	ring    readyRing
+	// ring indexes the active set for the issue scan (ring.go): passes
+	// walk only warps that can plausibly act instead of the whole active
+	// set.
+	ring readyRing
 
 	// deactOn caches the scheduler-mode decision for the hot issue paths:
 	// long-latency operands deactivate warps only under the two-level mode
@@ -226,7 +220,6 @@ func newSM(cfg *Config, prog *isa.Program, part *core.Partition, rf regfile.Subs
 		cfg: cfg, prog: prog, meta: meta, part: part, rf: rf, mem: mem,
 		activeCap:  activeCap,
 		collectors: make([]int64, cfg.Collectors),
-		indexed:    !cfg.ForceCycleAccurate,
 		deactOn:    cfg.SchedulerMode() == SchedTwoLevel && activeCap < nWarps,
 	}
 	nregs := prog.RegCount()
@@ -276,17 +269,16 @@ func newSM(cfg *Config, prog *isa.Program, part *core.Partition, rf regfile.Subs
 // jumps straight to the next cycle at which anything can change instead of
 // ticking through the dead span one cycle at a time — with observably
 // identical results (see pass/nextEventCycle/advanceTo for why, and the
-// equivalence property suite for proof). Config.ForceCycleAccurate pins the
-// historical one-cycle-per-pass clock.
+// equivalence property suite for proof against the one-cycle-per-pass
+// reference clock, which only Config.reference selects).
 func (sm *SM) run() (Stats, error) {
-	fastForward := !sm.cfg.ForceCycleAccurate
 	for sm.runnable() {
 		if sm.cancelled() {
 			return sm.st, sm.cancelErr()
 		}
 		idle := sm.pass()
 		next := sm.cycle + 1
-		if idle && fastForward {
+		if idle && !sm.cfg.reference {
 			next = sm.nextEventCycle()
 		}
 		sm.advanceTo(next, idle)
@@ -298,18 +290,6 @@ func (sm *SM) run() (Stats, error) {
 // exhausted and at least one warp unfinished.
 func (sm *SM) runnable() bool {
 	return sm.cycle < sm.cfg.MaxCycles && sm.instrs < sm.cfg.MaxInstrs && !sm.allFinished()
-}
-
-// step advances the SM by one cycle, returning false when the kernel has
-// finished or a budget is exhausted — the cycle-accurate unit of progress
-// (ForceCycleAccurate's run loop, and the GPU top level's lockstep, which
-// interleaves several SMs' shared-L2/DRAM contention in time order).
-func (sm *SM) step() bool {
-	if !sm.runnable() {
-		return false
-	}
-	sm.advanceTo(sm.cycle+1, sm.pass())
-	return true
 }
 
 // pass runs one issue pass (active-set refill + issue scan) at the current
@@ -324,12 +304,10 @@ func (sm *SM) step() bool {
 // nextEventCycle() is provably a no-op too. That is the invariant that
 // makes clock-jumping byte-identical.
 func (sm *SM) pass() (idle bool) {
-	if sm.indexed {
-		// Re-arm every parked warp whose wake cycle has arrived, so the
-		// indexed scan examines it on exactly the pass the linear scan's
-		// per-pass re-derivation would have let it through.
-		sm.ringWakeDue()
-	}
+	// Re-arm every parked warp whose wake cycle has arrived, so the indexed
+	// scan examines it on exactly the pass the linear scan's per-pass
+	// re-derivation would have let it through.
+	sm.ringWakeDue()
 	acts, deacts, stalls := sm.st.Activations, sm.st.Deactivations, sm.st.PrefetchStallCycles
 	sm.refillActive()
 	issued := sm.issueCycle()
@@ -383,12 +361,10 @@ func (sm *SM) advanceTo(t int64, idle bool) {
 	}
 	old := sm.cycle
 	sm.cycle = t
-	if sm.indexed {
-		// Re-arm every wheel-parked warp whose wake cycle the clock just
-		// reached or passed — warps that issued on the pass that just ended
-		// (wake = old+1) and short blocks expiring anywhere in (old, t].
-		sm.ring.merge(old, t)
-	}
+	// Re-arm every wheel-parked warp whose wake cycle the clock just
+	// reached or passed — warps that issued on the pass that just ended
+	// (wake = old+1) and short blocks expiring anywhere in (old, t].
+	sm.ring.merge(old, t)
 }
 
 // finalize computes the result statistics.
@@ -440,183 +416,35 @@ func (sm *SM) refillActive() {
 			w.readyAt = ready
 		}
 		sm.st.Activations++
-		if sm.indexed {
-			w.slot = int32(len(sm.active))
-			if w.readyAt > sm.cycle {
-				// Activation refetch in flight: examinable at readyAt. No
-				// wakeAt — refill precedes the issue scan, which re-reads
-				// the index minimum into nextWake before consuming it.
-				w.wake = w.readyAt
-				sm.ring.park(w.readyAt, sm.cycle, int(w.slot), int32(w.local))
-			} else {
-				w.wake = sm.cycle
-				sm.ring.set(int(w.slot))
-			}
+		w.slot = int32(len(sm.active))
+		if w.readyAt > sm.cycle {
+			// Activation refetch in flight: examinable at readyAt. No
+			// wakeAt — refill precedes the issue scan, which re-reads the
+			// index minimum into nextWake before consuming it.
+			w.wake = w.readyAt
+			sm.ring.park(w.readyAt, sm.cycle, int(w.slot), int32(w.local))
+		} else {
+			w.wake = sm.cycle
+			sm.ring.set(int(w.slot))
 		}
 		sm.active = append(sm.active, wid)
 	}
 }
 
+// referenceIssue is the linear reference issue scan. reference_test.go
+// installs it, and only runs with Config.reference set call it, so it is
+// nil and unused outside this package's tests.
+var referenceIssue func(*SM) int
+
 // issueCycle issues up to IssueWidth instructions from the active warps
 // under greedy-then-oldest round-robin arbitration, returning the issue
 // count. The indexed scan (ring.go) walks only warps that can plausibly
-// act; Config.ForceCycleAccurate pins the historical linear scan, which the
-// equivalence suite holds up as the reference for both the clock and the
-// index.
+// act; the equivalence suites hold it against the linear reference scan.
 func (sm *SM) issueCycle() int {
-	if sm.indexed {
-		return sm.issueCycleIndexed()
+	if sm.cfg.reference {
+		return referenceIssue(sm)
 	}
-	return sm.issueCycleScan()
-}
-
-// issueCycleScan is the linear reference scan: every active warp is
-// examined round-robin until IssueWidth instructions issue. Warps blocked
-// on a long-latency operand are descheduled (two-level scheduling); warps
-// at prefetch-unit boundaries execute their PREFETCH instead of issuing.
-// Along the way it maintains nextWake — the minimum over every blocked
-// warp's wakeup time — which costs a comparison per blocked warp here and
-// saves the event-driven clock a second scan.
-func (sm *SM) issueCycleScan() int {
-	sm.nextWake = int64(math.MaxInt64)
-	sm.collMin = 0
-	n := len(sm.active)
-	if n == 0 {
-		return 0
-	}
-	issued := 0
-	removed := 0 // active entries whose warp left stateActive this cycle
-
-	// Hot loop: the wrapping index replaces a modulo per warp, and the
-	// hoisted clock/width save pointer dereferences per iteration — this
-	// scan runs once per pass over every active warp that cannot issue.
-	now := sm.cycle
-	width := sm.cfg.IssueWidth
-	idx := sm.rr % n
-	for k := 0; k < n && issued < width; k++ {
-		wid := sm.active[idx]
-		idx++
-		if idx == n {
-			idx = 0
-		}
-		w := sm.warps[wid]
-		if w.state != stateActive {
-			continue
-		}
-		if w.readyAt > now {
-			sm.wakeAt(w.readyAt)
-			continue
-		}
-		in := &sm.prog.Instrs[w.pc]
-		m := &sm.meta[w.pc]
-
-		// PREFETCH at unit boundary.
-		if sm.part != nil {
-			if uid := sm.part.UnitID(w.pc); uid != w.Regs.CurUnit {
-				stall := sm.rf.OnUnitEnter(sm.cycle, w.Regs, uid, sm.part.Units[uid].WorkingSet)
-				if stall <= sm.cycle {
-					stall = sm.cycle + 1
-				}
-				sm.st.PrefetchStallCycles += stall - sm.cycle
-				w.readyAt = stall
-				continue
-			}
-		}
-
-		// Scoreboard. A warp blocked on a load result for longer than the
-		// threshold (i.e. a data-cache miss, not an L1 hit or ALU chain)
-		// is descheduled by the two-level scheduler — but only when some
-		// inactive warp could make use of the slot sooner, so eagerly
-		// activated warps are not bounced straight back (swap churn).
-		if ready, onLoad := w.operandsReadyAt(m, sm.cycle); ready > sm.cycle {
-			if sm.twoLevel() && onLoad && ready-sm.cycle >= sm.cfg.DeactivateThreshold {
-				if sm.hasEarlierCandidate(ready) {
-					sm.deactivate(w, ready)
-					removed++
-				} else {
-					// Deactivation hinges on an earlier candidate appearing
-					// in the pool (another warp deactivating), so this warp
-					// must be re-examined every pass until its operands
-					// arrive.
-					sm.wakeAt(ready)
-				}
-			} else {
-				// The refusal is permanent: the gap to the deactivation
-				// threshold only shrinks as the clock advances, and a
-				// pending load dependency only clears — so the warp cannot
-				// issue OR deactivate before `ready`. Park it (readyAt is
-				// exactly the scoreboard arrival) so each blocking episode
-				// costs one scoreboard evaluation instead of one per pass.
-				// Scan outcomes are identical: a parked warp is skipped by
-				// the readyAt guard precisely on the passes that would have
-				// re-derived this same `ready` and skipped it anyway.
-				w.readyAt = ready
-				sm.wakeAt(ready)
-			}
-			continue
-		}
-
-		// Structural hazard: instructions with register sources need a
-		// free operand collector; the claimed index is handed to issueInstr
-		// so it is not searched for twice.
-		col := -1
-		if m.nsrc > 0 {
-			if col = sm.freeCollector(); col == -1 {
-				// collMin caches the earliest collector-free time for the
-				// rest of the pass: several starved warps share one scan.
-				// Claims made later in the pass can lower the true minimum,
-				// but any claim makes the pass non-idle, and nextWake is
-				// only consumed after idle passes — so the cached value is
-				// exact whenever it is used.
-				if sm.collMin == 0 {
-					sm.collMin = sm.nextCollectorFree()
-				}
-				sm.wakeAt(sm.collMin)
-				continue
-			}
-		}
-
-		// Barrier.
-		if in.Op == isa.OpBar {
-			w.advance(in, m)
-			w.retired++
-			sm.instrs++
-			sm.st.CtrlOps++
-			w.state = stateBarrier
-			sm.ctaBarrier[w.cta]++
-			removed++
-			sm.maybeReleaseBarrier(int(w.cta))
-			issued++
-			continue
-		}
-
-		sm.issueInstr(w, in, m, col)
-		issued++
-		if w.state == stateFinished {
-			sm.finished++
-			sm.ctaFin[w.cta]++
-			w.Regs.Reset(sm.cfg.RegsPerInterval)
-			removed++
-			sm.maybeReleaseBarrier(int(w.cta))
-		}
-	}
-
-	if removed > 0 {
-		sm.removeActive()
-	}
-	// Greedy-then-oldest arbitration: keep priority on the current warp
-	// while it issues (issued > 0 keeps rr), advance otherwise. Greedy
-	// priority staggers the warps' progress through the kernel, which is
-	// what lets one warp's PREFETCH overlap other warps' execution instead
-	// of all warps reaching their PREFETCH in lockstep.
-	if len(sm.active) == 0 {
-		sm.rr = 0
-	} else if issued == 0 {
-		sm.rr = (sm.rr + 1) % len(sm.active)
-	} else {
-		sm.rr = sm.rr % len(sm.active)
-	}
-	return issued
+	return sm.issueCycleIndexed()
 }
 
 // wakeAt records a future cycle at which a currently-blocked warp can make
@@ -671,33 +499,6 @@ func (sm *SM) deactivate(w *Warp, blockedUntil int64) {
 	sm.rf.OnDeactivate(sm.cycle, w.Regs)
 	sm.wake.push(w.local, blockedUntil)
 	sm.st.Deactivations++
-	if sm.cfg.TrackDeactPCs {
-		if sm.st.deactByPC == nil {
-			sm.st.deactByPC = map[int]int64{}
-		}
-		sm.st.deactByPC[w.pc]++
-	}
-}
-
-// removeActive compacts the active list, dropping every warp that left
-// stateActive during the current issue cycle (deactivated, at a barrier, or
-// finished) while preserving the order of the remaining entries. Outside of
-// issueCycle every listed warp is stateActive, so compacting by state is
-// exactly equivalent to deleting the indices collected during the scan —
-// without allocating an index set per call. In indexed mode the compaction
-// also rebuilds the ready-ring masks, since it shifts positions down.
-func (sm *SM) removeActive() {
-	if sm.indexed {
-		sm.removeActiveIndexed()
-		return
-	}
-	out := sm.active[:0]
-	for _, wid := range sm.active {
-		if sm.warps[wid].state == stateActive {
-			out = append(out, wid)
-		}
-	}
-	sm.active = out
 }
 
 // maybeReleaseBarrier releases the CTA's barrier-waiting warps once every

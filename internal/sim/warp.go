@@ -36,13 +36,11 @@ type Warp struct {
 	rng     uint64
 	retired int64
 
-	// Indexed-scan bookkeeping (ring.go; maintained only when the SM runs
-	// the indexed issue scan, and placed last so the linear reference
-	// scan's hot fields keep their cache layout): slot is the warp's
-	// current position in the active slice, wake the cycle at which the
-	// warp next needs to be examined — the key that decides, via the
-	// readyRing membership invariant, whether its position is armed,
-	// wheel-parked, or heap-parked.
+	// Indexed-scan bookkeeping (ring.go): slot is the warp's current
+	// position in the active slice, wake the cycle at which the warp next
+	// needs to be examined — the key that decides, via the readyRing
+	// membership invariant, whether its position is armed, wheel-parked,
+	// or heap-parked.
 	slot int32
 	wake int64
 	// sbOK records that the warp's scoreboard is known satisfied for the

@@ -279,13 +279,6 @@ type SimOptions struct {
 	// results with (zero fields keep the defaults). Accounting only — it
 	// never changes timing.
 	Chip ChipConfig
-	// ForceCycleAccurate pins the simulator's reference stack: the
-	// one-cycle-per-pass clock instead of the event-driven fast-forward
-	// that skips cycles in which no warp can issue, and the linear issue
-	// scan instead of the indexed ready-warp scan. Results are identical
-	// either way (the equivalence property suite asserts it); the flag
-	// exists for cycle-by-cycle debugging and for measuring the speedup.
-	ForceCycleAccurate bool
 }
 
 // SimResult is a simulation outcome.
@@ -323,10 +316,9 @@ func (o SimOptions) config() (sim.Config, error) {
 	c.CTAsPerSM = o.CTAsPerSM
 	if o.MaxInstrs != 0 {
 		c.MaxInstrs = o.MaxInstrs
-		c.MaxCycles = o.MaxInstrs * 12
+		c.MaxCycles = sim.CycleCap(o.MaxInstrs)
 	}
 	c.Chip = o.Chip
-	c.ForceCycleAccurate = o.ForceCycleAccurate
 	return c, nil
 }
 

@@ -125,6 +125,24 @@ func TestSchedulerOption(t *testing.T) {
 	}
 }
 
+// TestSimulateHugeBudget pins the cycle cap's saturation: a budget above
+// MaxInt64/12 must not wrap the cap to a handful of cycles, so sgemm runs
+// to completion instead of stopping as a truncated 12-cycle run.
+func TestSimulateHugeBudget(t *testing.T) {
+	w, err := ltrf.WorkloadByName("sgemm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ltrf.Simulate(ltrf.SimOptions{Design: ltrf.LTRF, MaxInstrs: 1<<62 + 1}, w.Build(ltrf.UnrollMaxwell))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cycles <= 12 || res.Truncated || !res.Finished {
+		t.Errorf("huge budget: %d cycles, truncated %v, finished %v; want a finished, untruncated run",
+			res.Cycles, res.Truncated, res.Finished)
+	}
+}
+
 func TestTechAccessor(t *testing.T) {
 	p, err := ltrf.Tech(7)
 	if err != nil {
