@@ -7,9 +7,11 @@
 // Usage:
 //
 //	ltrf-server -addr :8080 -store /var/lib/ltrf/results
-//	curl -s localhost:8080/v1/eval -d '{"design":"LTRF","workload":"sgemm"}'
+//	curl -s localhost:8080/v1/eval -d '{"design":"LTRF","workload":"sgemm"}' | jq .
 //	curl -sN localhost:8080/v1/sweep -d '{"designs":["BL","LTRF"],"workloads":["sgemm"],"latency_xs":[1,4]}'
-//	curl -s localhost:8080/v1/meta
+//	curl -s localhost:8080/v1/meta | jq .
+//
+// Responses are compact one-line JSON; pipe them through jq to read them.
 //
 // Multiple replicas pointed at the same -store directory coalesce cold
 // computes through per-point leases (each point simulated once across the

@@ -21,6 +21,14 @@
 //     full-budget samples by default.
 //   - Draining: BeginDrain stops admitting work while in-flight requests
 //     finish; pair it with http.Server.Shutdown for a graceful stop.
+//
+// One decoder, one writer: every POST body goes through decodeBody (strict —
+// unknown fields and anything after the first JSON value are a 400, an
+// oversized body a 413), and every unary response — results, error bodies,
+// /v1/meta, /healthz — goes through writeJSON, which encodes the value once
+// as compact, newline-terminated JSON and sends it with its Content-Length
+// in a single write. Only the two streaming responses (/v1/sweep's NDJSON
+// and /v1/experiment's incrementally rendered table) write for themselves.
 package server
 
 import (
@@ -29,6 +37,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -134,7 +143,7 @@ func (s *Server) Handler() http.Handler {
 
 // capBody wraps a POST handler's body in http.MaxBytesReader, so a decode
 // of an oversized body fails with *http.MaxBytesError (rendered as 413 by
-// writeDecodeErr) after at most MaxBodyBytes read.
+// decodeBody) after at most MaxBodyBytes read.
 func (s *Server) capBody(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
@@ -142,17 +151,47 @@ func (s *Server) capBody(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// writeDecodeErr classifies a request-body decode failure: a body over the
-// MaxBytesReader cap is 413 (the client must shrink or split the request);
-// everything else is a plain 400.
-func writeDecodeErr(w http.ResponseWriter, err error) {
+// decodeBody strictly decodes a POST body into v: an unknown field, a
+// malformed value or any data after the first JSON value is a 400, and a
+// body over the MaxBytesReader cap is a 413 (the client must shrink or split
+// the request). It reports whether v was decoded; on false the error
+// response has been written.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		_, tail := dec.Token()
+		if tail == io.EOF {
+			return true
+		}
+		if tail == nil {
+			tail = errors.New("a second JSON value")
+		}
+		err = fmt.Errorf("data after the JSON value: %w", tail)
+	}
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
 		writeErr(w, http.StatusRequestEntityTooLarge, "body_too_large",
 			fmt.Sprintf("request body exceeds the %d-byte cap", mbe.Limit))
-		return
+		return false
 	}
 	writeErr(w, http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error())
+	return false
+}
+
+// requestContext derives an evaluation's context from the request's: capped
+// by timeoutMS when positive, else by Config.DefaultTimeout when set. The
+// caller must call the returned cancel.
+func (s *Server) requestContext(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
+	timeout := s.cfg.DefaultTimeout
+	if timeoutMS > 0 {
+		timeout = time.Duration(timeoutMS) * time.Millisecond
+	}
+	if timeout > 0 {
+		return context.WithTimeout(r.Context(), timeout)
+	}
+	return r.Context(), func() {}
 }
 
 // BeginDrain stops admitting new work: subsequent requests answer 503.
@@ -186,16 +225,32 @@ type errorBody struct {
 	Result *EvalResponse `json:"result,omitempty"`
 }
 
+// errorEnvelope is the top-level shape of every error response.
+type errorEnvelope struct {
+	Error errorBody `json:"error"`
+}
+
+// writeJSON answers a unary response. The value is encoded once, as compact
+// JSON plus a newline, before anything is committed: a value that cannot be
+// encoded answers a structured 500 instead of a status with an empty body.
+// The body then goes out with its Content-Length in a single write.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		// An envelope of two strings always encodes.
+		body, _ = json.Marshal(errorEnvelope{errorBody{Kind: "encode_failed", Message: err.Error()}})
+	}
+	body = append(body, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
+	w.Write(body) //nolint:errcheck // client gone; nothing to do
 }
 
 func writeErr(w http.ResponseWriter, status int, kind, msg string) {
-	writeJSON(w, status, map[string]errorBody{"error": {Kind: kind, Message: msg}})
+	writeJSON(w, status, errorEnvelope{errorBody{Kind: kind, Message: msg}})
 }
 
 // admit performs the load-shedding gate. On success the caller owns a slot
@@ -369,10 +424,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	defer s.inflight.Done()
 
 	var req EvalRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeDecodeErr(w, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	pt, err := parsePoint(&req)
@@ -387,16 +439,8 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	ctx := r.Context()
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+	defer cancel()
 
 	res, err := s.cfg.Engine.Eval(ctx, pt)
 	if err != nil {
@@ -405,7 +449,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := evalResponse(pt, res)
 	if res.Truncated && !req.AllowTruncated {
-		writeJSON(w, http.StatusUnprocessableEntity, map[string]errorBody{"error": {
+		writeJSON(w, http.StatusUnprocessableEntity, errorEnvelope{errorBody{
 			Kind:    "truncated",
 			Message: "simulation hit the cycle cap before its instruction budget; stats are a lower bound (set allow_truncated to accept)",
 			Result:  &resp,
@@ -458,7 +502,7 @@ func (s *Server) writeEvalError(w http.ResponseWriter, err error) {
 	case "cancelled":
 		status = statusClientClosedRequest
 	}
-	writeJSON(w, status, map[string]errorBody{"error": body})
+	writeJSON(w, status, errorEnvelope{body})
 }
 
 // ExperimentRequest regenerates one paper artifact.
@@ -486,10 +530,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	defer s.inflight.Done()
 
 	var req ExperimentRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeDecodeErr(w, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	spec, err := exp.ByID(req.ID)
@@ -504,16 +545,8 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	ctx := r.Context()
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+	defer cancel()
 
 	t, err := spec.Run(exp.Options{
 		Ctx:         ctx,
@@ -650,6 +683,11 @@ type StoreMeta struct {
 }
 
 func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.meta())
+}
+
+// meta snapshots the registries and counters /v1/meta serves.
+func (s *Server) meta() MetaResponse {
 	var wl []string
 	for _, x := range workloads.All() {
 		wl = append(wl, x.Name)
@@ -689,7 +727,7 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 			LeaseTakeovers: st.LeaseTakeovers(),
 		}
 	}
-	writeJSON(w, http.StatusOK, meta)
+	return meta
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -249,10 +248,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer s.inflight.Done()
 
 	var req SweepRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeDecodeErr(w, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	maxPoints := s.cfg.MaxSweepPoints
@@ -271,16 +267,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	ctx := r.Context()
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+	defer cancel()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Sweep-Points", strconv.Itoa(len(pts)))

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -220,22 +219,6 @@ func TestSweepGridCapIs400(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("4-point grid under cap 3: status = %d, want 400", resp.StatusCode)
-	}
-}
-
-func TestPostBodyCapIs413(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBodyBytes: 256})
-	huge := strings.Repeat("x", 1024)
-	for _, path := range []string{"/v1/eval", "/v1/sweep", "/v1/experiment"} {
-		resp, err := ts.Client().Post(ts.URL+path, "application/json",
-			strings.NewReader(`{"design":"`+huge+`"}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s oversized body: status = %d, want 413", path, resp.StatusCode)
-		}
 	}
 }
 
