@@ -16,6 +16,7 @@ import (
 	"ltrf/internal/isa"
 	"ltrf/internal/memsys"
 	"ltrf/internal/memtech"
+	"ltrf/internal/regfile"
 	"ltrf/internal/sim"
 	"ltrf/internal/store"
 	"ltrf/internal/workloads"
@@ -85,6 +86,43 @@ func (p Point) config() (sim.Config, error) {
 	c.Mem.Prefetch.Mode = memsys.PrefetchMode(p.Prefetch)
 	c.CTAsPerSM = p.CTAs
 	return c, nil
+}
+
+// Resolve maps a point as an API client states it onto the simulation
+// domain sim.Config.Validate defines. It fills the zero-value defaults —
+// Tech 1, LatencyX 1, Budget the full-run experiment budget — resolves the
+// design and workload names through their registries (so any accepted
+// spelling becomes the registered one), and validates the point's
+// configuration. Every other field is returned as given: the result is the
+// point's memo and store key, so Resolve folds nothing else.
+func (p Point) Resolve() (Point, error) {
+	if p.Tech == 0 {
+		p.Tech = 1
+	}
+	if p.LatencyX == 0 {
+		p.LatencyX = 1
+	}
+	if p.Budget == 0 {
+		p.Budget = Options{}.budget()
+	}
+	desc, err := regfile.Lookup(string(p.Design))
+	if err != nil {
+		return Point{}, err
+	}
+	p.Design = sim.Design(desc.Name)
+	w, err := workloads.ByName(p.Workload)
+	if err != nil {
+		return Point{}, err
+	}
+	p.Workload = w.Name
+	c, err := p.config()
+	if err != nil {
+		return Point{}, err
+	}
+	if err := c.Validate(); err != nil {
+		return Point{}, err
+	}
+	return p, nil
 }
 
 // PanicError is the structured error a panicking evaluation (a buggy design

@@ -240,3 +240,49 @@ func BenchmarkExperimentEngineParallel(b *testing.B) {
 		runRegistry(b, detOpts(0))
 	}
 }
+
+// TestPointResolve pins Resolve's contract: the zero-value defaults are
+// filled, the design name takes its registered spelling, every other field
+// comes back as given (no canon folding: the result is the memo and store
+// key), and a point outside sim.Config.Validate's domain is an error.
+func TestPointResolve(t *testing.T) {
+	full := Point{
+		Design: "LTRF", Tech: 7, LatencyX: 6.3, Workload: "sgemm", Unroll: 3, Budget: 12_000,
+		RegsPerInterval: 16, ActiveWarps: 8, Scheduler: sim.SchedTwoLevel, Prefetch: "off", CTAs: 1,
+	}
+	for _, c := range []struct{ in, want Point }{
+		{Point{Design: "ltrf", Workload: "sgemm", Unroll: 3},
+			Point{Design: "LTRF", Tech: 1, LatencyX: 1, Workload: "sgemm", Unroll: 3, Budget: 40_000}},
+		{full, full},
+	} {
+		got, err := c.in.Resolve()
+		if err != nil {
+			t.Fatalf("%+v: %v", c.in, err)
+		}
+		if got != c.want {
+			t.Errorf("Resolve(%+v) = %+v, want %+v", c.in, got, c.want)
+		}
+	}
+	ok := Point{Design: "LTRF", Workload: "sgemm"}
+	for _, mut := range []func(*Point){
+		func(p *Point) { p.Design = "" },
+		func(p *Point) { p.Design = "nosuch" },
+		func(p *Point) { p.Workload = "nosuch" },
+		func(p *Point) { p.Tech = 99 },
+		func(p *Point) { p.LatencyX = -1 },
+		func(p *Point) { p.LatencyX = sim.MaxLatencyX * 2 },
+		func(p *Point) { p.Budget = -1 },
+		func(p *Point) { p.RegsPerInterval = 2 },
+		func(p *Point) { p.RegsPerInterval = 257 },
+		func(p *Point) { p.ActiveWarps = 65 },
+		func(p *Point) { p.CTAs = 65 },
+		func(p *Point) { p.Scheduler = "nosuch" },
+		func(p *Point) { p.Prefetch = "nosuch" },
+	} {
+		p := ok
+		mut(&p)
+		if _, err := p.Resolve(); err == nil {
+			t.Errorf("Resolve(%+v) accepted a point outside the domain", p)
+		}
+	}
+}

@@ -155,6 +155,17 @@ func (o Options) evalSet() ([]workloads.Workload, error) {
 	return out, nil
 }
 
+// Validate resolves the Workloads and Designs subsets against their
+// registries — the resolution the experiments themselves run — so a server
+// can reject an unknown name before it admits the request.
+func (o Options) Validate() error {
+	if _, err := o.designSet(); err != nil {
+		return err
+	}
+	_, err := o.evalSet()
+	return err
+}
+
 // baseConfig returns the Table 3 system for a design with the experiment
 // budget applied.
 func (o Options) baseConfig(d sim.Design) sim.Config {

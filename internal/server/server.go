@@ -29,6 +29,10 @@
 // as compact, newline-terminated JSON and sends it with its Content-Length
 // in a single write. Only the two streaming responses (/v1/sweep's NDJSON
 // and /v1/experiment's incrementally rendered table) write for themselves.
+//
+// One domain: every point a request names is resolved by exp.Point.Resolve,
+// which validates it with sim.Config.Validate, before the request is
+// admitted; this package checks no axis value itself.
 package server
 
 import (
@@ -47,8 +51,6 @@ import (
 	"time"
 
 	"ltrf/internal/exp"
-	"ltrf/internal/memsys"
-	"ltrf/internal/memtech"
 	"ltrf/internal/regfile"
 	"ltrf/internal/sim"
 	"ltrf/internal/workloads"
@@ -329,8 +331,11 @@ func (s *Server) retryAfter() string {
 // connection before the response; the code is best-effort (usually unseen).
 const statusClientClosedRequest = 499
 
-// EvalRequest asks for one point's result. Zero fields take defaults:
-// tech 1, latency_x 1.0, budget 40000 (the full-run experiment budget).
+// EvalRequest asks for one point's result. Zero fields take the defaults
+// exp.Point.Resolve fills (tech 1, latency_x 1.0, budget 40000, the full-run
+// experiment budget; the design's Table 3 knobs otherwise), and every field
+// must lie in the domain sim.Config.Validate defines (README's "The point
+// domain" tabulates it). A point outside it is a 400 before admission.
 type EvalRequest struct {
 	Design          string  `json:"design"`
 	Tech            int     `json:"tech"`
@@ -366,57 +371,22 @@ type EvalResponse struct {
 	Stats     sim.Stats `json:"stats"`
 }
 
-// parsePoint validates an EvalRequest against the live registries and
-// builds the canonical point. Validation happens BEFORE evaluation so bad
-// input is a 400, never a burned simulation slot.
+// parsePoint builds the request's point and resolves it (exp.Point.Resolve):
+// validation happens BEFORE evaluation, so bad input is a 400, never a
+// burned simulation slot.
 func parsePoint(req *EvalRequest) (exp.Point, error) {
-	desc, err := regfile.Lookup(req.Design)
-	if err != nil {
-		return exp.Point{}, err
-	}
-	w, err := workloads.ByName(req.Workload)
-	if err != nil {
-		return exp.Point{}, err
-	}
-	if req.Tech == 0 {
-		req.Tech = 1
-	}
-	if _, err := memtech.Config(req.Tech); err != nil {
-		return exp.Point{}, err
-	}
-	if req.LatencyX == 0 {
-		req.LatencyX = 1.0
-	}
-	if req.LatencyX < 0 {
-		return exp.Point{}, fmt.Errorf("latency_x %v must be positive", req.LatencyX)
-	}
-	if req.Budget == 0 {
-		req.Budget = 40_000
-	}
-	if req.Budget < 0 {
-		return exp.Point{}, fmt.Errorf("budget %d must be positive", req.Budget)
-	}
-	if req.RegsPerInterval < 0 || req.ActiveWarps < 0 {
-		return exp.Point{}, fmt.Errorf("knob overrides must be non-negative")
-	}
-	if err := (memsys.PrefetchConfig{Mode: memsys.PrefetchMode(req.Prefetch)}).Validate(); err != nil {
-		return exp.Point{}, err
-	}
-	if req.CTAs < 0 {
-		return exp.Point{}, fmt.Errorf("ctas %d must be non-negative", req.CTAs)
-	}
 	return exp.Point{
-		Design:          sim.Design(desc.Name),
+		Design:          sim.Design(req.Design),
 		Tech:            req.Tech,
 		LatencyX:        req.LatencyX,
-		Workload:        w.Name,
+		Workload:        req.Workload,
 		Unroll:          workloads.UnrollMaxwell,
 		Budget:          req.Budget,
 		RegsPerInterval: req.RegsPerInterval,
 		ActiveWarps:     req.ActiveWarps,
 		Prefetch:        req.Prefetch,
 		CTAs:            req.CTAs,
-	}, nil
+	}.Resolve()
 }
 
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
@@ -533,7 +503,17 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
+	opts := exp.Options{
+		Quick:       req.Quick,
+		Workloads:   req.Workloads,
+		Designs:     req.Designs,
+		Parallelism: req.Parallelism,
+		Engine:      s.cfg.Engine,
+	}
 	spec, err := exp.ByID(req.ID)
+	if err == nil {
+		err = opts.Validate()
+	}
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
@@ -548,14 +528,8 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
 
-	t, err := spec.Run(exp.Options{
-		Ctx:         ctx,
-		Quick:       req.Quick,
-		Workloads:   req.Workloads,
-		Designs:     req.Designs,
-		Parallelism: req.Parallelism,
-		Engine:      s.cfg.Engine,
-	})
+	opts.Ctx = ctx
+	t, err := spec.Run(opts)
 	if err != nil {
 		s.writeEvalError(w, err)
 		return

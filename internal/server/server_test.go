@@ -100,6 +100,14 @@ func TestEvalValidationIs400BeforeSimulation(t *testing.T) {
 		{"design": "LTRF", "workload": "sgemm", "latency_x": -1},
 		{"design": "LTRF", "workload": "sgemm", "budget": -5},
 		{"design": "LTRF", "workload": "sgemm", "bogus_field": 1},
+		// The bounds of sim.Config.Validate, reached through Point.Resolve.
+		{"design": "LTRF", "workload": "sgemm", "regs_per_interval": 2},
+		{"design": "LTRF", "workload": "sgemm", "regs_per_interval": 257},
+		{"design": "LTRF", "workload": "sgemm", "ctas": 65},
+		{"design": "LTRF", "workload": "sgemm", "active_warps": 65},
+		{"design": "LTRF", "workload": "sgemm", "latency_x": 1e19},
+		{"design": "LTRF", "workload": "sgemm", "prefetch": "nosuch"},
+		{"design": "", "workload": "sgemm"},
 	}
 	for _, c := range cases {
 		code, m := post(t, ts.URL+"/v1/eval", c)
@@ -107,8 +115,9 @@ func TestEvalValidationIs400BeforeSimulation(t *testing.T) {
 			t.Errorf("%v: status = %d (%v), want 400", c, code, m)
 		}
 	}
-	if n := srv.cfg.Engine.Sims(); n != 0 {
-		t.Errorf("validation burned %d simulations, want 0", n)
+	eng := srv.cfg.Engine
+	if n, f := eng.Sims(), eng.Failures(); n != 0 || f != 0 {
+		t.Errorf("validation burned %d simulations and memoized %d failures, want 0 and 0", n, f)
 	}
 }
 
@@ -346,7 +355,7 @@ func TestExperimentEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
 	code, m := post(t, ts.URL+"/v1/experiment",
 		map[string]any{"id": "figure9", "quick": true, "workloads": []string{"vectoradd"}})
 	if code != http.StatusOK {
@@ -361,9 +370,19 @@ func TestExperimentEndpoint(t *testing.T) {
 		t.Errorf("implausible experiment response: id=%q rows=%d", r.ID, len(r.Rows))
 	}
 
-	code, m = post(t, ts.URL+"/v1/experiment", map[string]any{"id": "nosuch"})
-	if code != http.StatusBadRequest {
-		t.Errorf("unknown experiment = %d (%v), want 400", code, m)
+	sims := srv.cfg.Engine.Sims()
+	for _, body := range []map[string]any{
+		{"id": "nosuch"},
+		{"id": "figure9", "quick": true, "workloads": []string{"nosuch"}},
+		{"id": "designspace", "quick": true, "designs": []string{"nosuch"}},
+	} {
+		code, m = post(t, ts.URL+"/v1/experiment", body)
+		if code != http.StatusBadRequest {
+			t.Errorf("%v = %d (%v), want 400", body, code, m)
+		}
+	}
+	if n, f := srv.cfg.Engine.Sims()-sims, srv.cfg.Engine.Failures(); n != 0 || f != 0 {
+		t.Errorf("rejected experiments ran %d simulations and memoized %d failures, want 0 and 0", n, f)
 	}
 }
 

@@ -8,9 +8,6 @@ import (
 	"time"
 
 	"ltrf/internal/exp"
-	"ltrf/internal/memsys"
-	"ltrf/internal/memtech"
-	"ltrf/internal/regfile"
 	"ltrf/internal/sim"
 	"ltrf/internal/workloads"
 )
@@ -36,9 +33,12 @@ import (
 // internal fan-out is bounded by the request's parallelism field.
 
 // SweepRequest declares the grid as per-axis value lists; the grid is their
-// cross product. Empty optional axes contribute their default value only.
+// cross product. An empty optional axis contributes one zero value, which
+// exp.Point.Resolve reads as the default, and every value must lie in the
+// domain sim.Config.Validate defines (README's "The point domain" tabulates
+// it) — the same rules /v1/eval applies.
 type SweepRequest struct {
-	// Designs and Workloads are required, validated against the registries.
+	// Designs and Workloads are required, resolved through the registries.
 	Designs   []string `json:"designs"`
 	Workloads []string `json:"workloads"`
 	// Techs are Table 2 config indices (default [1]); LatencyXs the RF
@@ -48,7 +48,7 @@ type SweepRequest struct {
 	// Budget is the per-point dynamic-instruction budget (default 40000).
 	Budget int64 `json:"budget,omitempty"`
 	// Optional axes: scheduler variants, hardware-prefetch modes, resident
-	// CTAs per SM.
+	// CTAs per SM (defaults: two-level, off, one CTA).
 	Schedulers []string `json:"schedulers,omitempty"`
 	Prefetch   []string `json:"prefetch,omitempty"`
 	CTAs       []int    `json:"ctas,omitempty"`
@@ -126,9 +126,11 @@ type SweepFail struct {
 // maxSweepPoints caps the expanded grid (Config.MaxSweepPoints overrides).
 const maxSweepPoints = 4096
 
-// expandSweep validates every axis against the live registries and expands
-// the request to the canonical point grid. Validation happens BEFORE
-// admission, so a bad axis is a 400 and never burns an evaluation slot.
+// expandSweep expands the request to its point grid, resolving every point
+// (exp.Point.Resolve) BEFORE admission, so a value outside the domain is a
+// 400 and never burns an evaluation slot. The grid's size is checked
+// against maxPoints before any point is built, one axis at a time so the
+// product cannot overflow.
 //
 // Expansion order (fixed, documented, index-defining): designs (outer) ×
 // techs × latency_xs × schedulers × prefetch × ctas × workloads (inner).
@@ -139,90 +141,25 @@ func expandSweep(req *SweepRequest, maxPoints int) ([]exp.Point, error) {
 	if len(req.Workloads) == 0 {
 		return nil, fmt.Errorf("workloads is required (at least one)")
 	}
-	designs := make([]string, len(req.Designs))
-	for i, n := range req.Designs {
-		d, err := regfile.Lookup(n)
-		if err != nil {
-			return nil, err
-		}
-		designs[i] = d.Name
-	}
-	wls := make([]string, len(req.Workloads))
-	for i, n := range req.Workloads {
-		w, err := workloads.ByName(n)
-		if err != nil {
-			return nil, err
-		}
-		wls[i] = w.Name
-	}
-	techs := req.Techs
-	if len(techs) == 0 {
-		techs = []int{1}
-	}
-	for _, tn := range techs {
-		if _, err := memtech.Config(tn); err != nil {
-			return nil, err
-		}
-	}
-	lats := req.LatencyXs
-	if len(lats) == 0 {
-		lats = []float64{1.0}
-	}
-	for _, lx := range lats {
-		if lx <= 0 {
-			return nil, fmt.Errorf("latency_x %v must be positive", lx)
-		}
-	}
-	if req.Budget == 0 {
-		req.Budget = 40_000
-	}
-	if req.Budget < 0 {
-		return nil, fmt.Errorf("budget %d must be positive", req.Budget)
-	}
-	scheds := req.Schedulers
-	if len(scheds) == 0 {
-		scheds = []string{""}
-	}
-	for _, sc := range scheds {
-		switch sim.Scheduler(sc) {
-		case "", sim.SchedTwoLevel, sim.SchedStatic, sim.SchedFlat:
-		default:
-			return nil, fmt.Errorf("unknown scheduler %q (known: %s, %s, %s)",
-				sc, sim.SchedTwoLevel, sim.SchedStatic, sim.SchedFlat)
-		}
-	}
-	prefs := req.Prefetch
-	if len(prefs) == 0 {
-		prefs = []string{""}
-	}
-	for _, pm := range prefs {
-		if err := (memsys.PrefetchConfig{Mode: memsys.PrefetchMode(pm)}).Validate(); err != nil {
-			return nil, err
-		}
-	}
-	ctas := req.CTAs
-	if len(ctas) == 0 {
-		ctas = []int{0}
-	}
-	for _, c := range ctas {
-		if c < 0 {
-			return nil, fmt.Errorf("ctas %d must be non-negative", c)
-		}
-	}
+	techs, lats := orZero(req.Techs), orZero(req.LatencyXs)
+	scheds, prefs, ctas := orZero(req.Schedulers), orZero(req.Prefetch), orZero(req.CTAs)
 
-	n := len(designs) * len(techs) * len(lats) * len(scheds) * len(prefs) * len(ctas) * len(wls)
-	if n > maxPoints {
-		return nil, fmt.Errorf("grid expands to %d points, above the per-sweep cap of %d — split the request", n, maxPoints)
+	n := 1
+	for _, l := range []int{len(req.Designs), len(techs), len(lats), len(scheds), len(prefs), len(ctas), len(req.Workloads)} {
+		if n > maxPoints/l {
+			return nil, fmt.Errorf("grid expands to more than the per-sweep cap of %d points — split the request", maxPoints)
+		}
+		n *= l
 	}
 	pts := make([]exp.Point, 0, n)
-	for _, d := range designs {
+	for _, d := range req.Designs {
 		for _, tn := range techs {
 			for _, lx := range lats {
 				for _, sc := range scheds {
 					for _, pm := range prefs {
 						for _, ct := range ctas {
-							for _, wl := range wls {
-								pts = append(pts, exp.Point{
+							for _, wl := range req.Workloads {
+								p, err := exp.Point{
 									Design:    sim.Design(d),
 									Tech:      tn,
 									LatencyX:  lx,
@@ -232,7 +169,11 @@ func expandSweep(req *SweepRequest, maxPoints int) ([]exp.Point, error) {
 									Scheduler: sim.Scheduler(sc),
 									Prefetch:  pm,
 									CTAs:      ct,
-								})
+								}.Resolve()
+								if err != nil {
+									return nil, err
+								}
+								pts = append(pts, p)
 							}
 						}
 					}
@@ -241,6 +182,15 @@ func expandSweep(req *SweepRequest, maxPoints int) ([]exp.Point, error) {
 		}
 	}
 	return pts, nil
+}
+
+// orZero is an optional axis's value list: one zero value, Resolve's
+// default, when the request leaves it empty.
+func orZero[T any](xs []T) []T {
+	if len(xs) == 0 {
+		return make([]T, 1)
+	}
+	return xs
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {

@@ -189,23 +189,42 @@ func TestSweepWarmRecordArrivesBeforeColdSimulationFinishes(t *testing.T) {
 }
 
 func TestSweepValidationRejectsBeforeAdmission(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
+	// Seven 1024-entry axes: 1024^7 = 2^70 points, a product that wraps to
+	// 0 in int unless the size is checked before each multiply.
+	huge := func(v any) []any {
+		xs := make([]any, 1024)
+		for i := range xs {
+			xs[i] = v
+		}
+		return xs
+	}
 	for name, body := range map[string]map[string]any{
-		"no designs":      {"workloads": []string{"vectoradd"}},
-		"no workloads":    {"designs": []string{"BL"}},
-		"bad design":      {"designs": []string{"nosuch"}, "workloads": []string{"vectoradd"}},
-		"bad workload":    {"designs": []string{"BL"}, "workloads": []string{"nosuch"}},
-		"bad tech":        {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "techs": []int{99}},
-		"bad latency":     {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "latency_xs": []float64{-1}},
-		"bad scheduler":   {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "schedulers": []string{"nosuch"}},
-		"bad prefetch":    {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "prefetch": []string{"nosuch"}},
-		"negative budget": {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "budget": -1},
+		"2^70-point grid": {
+			"designs": huge("BL"), "workloads": huge("vectoradd"), "techs": huge(1),
+			"latency_xs": huge(1), "schedulers": huge(""), "prefetch": huge(""), "ctas": huge(0),
+		},
+		"ctas above MaxWarps":   {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "ctas": []int{0, 65}},
+		"latency above the max": {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "latency_xs": []float64{1, 1e19}},
+		"no designs":            {"workloads": []string{"vectoradd"}},
+		"no workloads":          {"designs": []string{"BL"}},
+		"bad design":            {"designs": []string{"nosuch"}, "workloads": []string{"vectoradd"}},
+		"bad workload":          {"designs": []string{"BL"}, "workloads": []string{"nosuch"}},
+		"bad tech":              {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "techs": []int{99}},
+		"bad latency":           {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "latency_xs": []float64{-1}},
+		"bad scheduler":         {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "schedulers": []string{"nosuch"}},
+		"bad prefetch":          {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "prefetch": []string{"nosuch"}},
+		"negative budget":       {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "budget": -1},
 	} {
 		resp := postSweep(t, ts, body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
 		}
+	}
+	eng := srv.cfg.Engine
+	if n, f := eng.Sims(), eng.Failures(); n != 0 || f != 0 {
+		t.Errorf("validation burned %d simulations and memoized %d failures, want 0 and 0", n, f)
 	}
 }
 

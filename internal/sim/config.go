@@ -292,19 +292,41 @@ func (c *Config) CapacityScale(demand int, kernel *isa.Program) float64 {
 	return capX
 }
 
-// Validate checks the configuration for consistency.
+// MaxLatencyX is the largest main-RF latency multiplier Validate accepts.
+// The paper's sweeps stop at 8x (Figures 11-14); 10,000x leaves room for
+// stress points far beyond them while every latency the timing model derives
+// from it (a few bank cycles times LatencyX) stays far inside int's range —
+// the float-to-cycle conversions do not saturate, and near 1e19 they
+// overflow.
+const MaxLatencyX = 10_000
+
+// Validate checks the configuration for consistency. It is the one
+// definition of the simulation domain: the façade, ltrf-sim, and (through
+// exp.Point.Resolve) the server's request parsers all reach it, so a
+// configuration it rejects never simulates. The bounds on the axes a user
+// sets are:
+//
+//   - LatencyX: finite, in (0, MaxLatencyX];
+//   - ActiveWarps: in [1, MaxWarps];
+//   - CTAsPerSM: in [0, MaxWarps] (0 and 1 both mean one CTA);
+//   - RegsPerInterval: in [4, isa.MaxArchRegs];
+//   - Scheduler and Mem.Prefetch.Mode: a known name or empty;
+//   - MaxInstrs and MaxCycles: at least 1.
 func (c *Config) Validate() error {
 	if _, err := c.Design.Descriptor(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	if c.LatencyX <= 0 {
-		return fmt.Errorf("sim: LatencyX %v must be positive", c.LatencyX)
+	if !(c.LatencyX > 0 && c.LatencyX <= MaxLatencyX) {
+		return fmt.Errorf("sim: LatencyX %v must be positive and at most %d", c.LatencyX, MaxLatencyX)
 	}
 	if c.CapacityKB < 0 || c.CacheKB < 0 {
 		return fmt.Errorf("sim: capacities must be non-negative (CapacityKB %d, CacheKB %d)", c.CapacityKB, c.CacheKB)
 	}
 	if c.MaxWarps < 1 || c.ActiveWarps < 1 {
 		return fmt.Errorf("sim: warp counts must be positive (%d/%d)", c.MaxWarps, c.ActiveWarps)
+	}
+	if c.ActiveWarps > c.MaxWarps {
+		return fmt.Errorf("sim: ActiveWarps %d exceeds MaxWarps %d", c.ActiveWarps, c.MaxWarps)
 	}
 	if c.CTAsPerSM < 0 {
 		return fmt.Errorf("sim: CTAsPerSM %d must be non-negative", c.CTAsPerSM)
@@ -315,8 +337,8 @@ func (c *Config) Validate() error {
 	if err := c.Mem.Prefetch.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	if c.RegsPerInterval < 4 {
-		return fmt.Errorf("sim: RegsPerInterval %d below minimum 4", c.RegsPerInterval)
+	if c.RegsPerInterval < 4 || c.RegsPerInterval > isa.MaxArchRegs {
+		return fmt.Errorf("sim: RegsPerInterval %d outside [4, %d]", c.RegsPerInterval, isa.MaxArchRegs)
 	}
 	if c.IssueWidth < 1 {
 		return fmt.Errorf("sim: IssueWidth must be >= 1")

@@ -428,6 +428,7 @@ func FuzzIndexedScanEquivalence(f *testing.F) {
 		c.Collectors = ((collectors%16)+16)%16 + 1
 		c.IssueWidth = ((issueWidth%4)+4)%4 + 1
 		c.MaxWarps = ((maxWarps%128)+128)%128 + 1
+		c.ActiveWarps = min(c.ActiveWarps, c.MaxWarps) // Validate's bound
 		c.Scheduler = scheds[((sched%len(scheds))+len(scheds))%len(scheds)]
 		if err := c.Validate(); err != nil {
 			t.Skip()

@@ -1,6 +1,7 @@
 package ltrf_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -140,6 +141,30 @@ func TestSimulateHugeBudget(t *testing.T) {
 	if res.Cycles <= 12 || res.Truncated || !res.Finished {
 		t.Errorf("huge budget: %d cycles, truncated %v, finished %v; want a finished, untruncated run",
 			res.Cycles, res.Truncated, res.Finished)
+	}
+}
+
+// TestSimulateRejectsOutOfDomain pins the façade to sim.Config.Validate's
+// bounds: each option one step past its limit is an error, never a run.
+func TestSimulateRejectsOutOfDomain(t *testing.T) {
+	w, err := ltrf.WorkloadByName("vectoradd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernel := w.Build(ltrf.UnrollMaxwell)
+	for _, o := range []ltrf.SimOptions{
+		{LatencyX: 1e19},
+		{LatencyX: math.NaN()},
+		{LatencyX: math.Inf(1)},
+		{ActiveWarps: 65},
+		{MaxWarps: 4, ActiveWarps: 5},
+		{IntervalRegs: 257},
+		{CTAsPerSM: 65},
+	} {
+		o.Design, o.MaxInstrs = ltrf.LTRF, 500
+		if res, err := ltrf.Simulate(o, kernel); err == nil {
+			t.Errorf("%+v: simulated %d cycles, want a validation error", o, res.Cycles)
+		}
 	}
 }
 
