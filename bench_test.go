@@ -154,32 +154,38 @@ func BenchmarkCompile(b *testing.B) {
 }
 
 // BenchmarkSimulatorThroughput measures raw simulation speed in dynamic
-// instructions per second.
+// instructions per second, one sub-benchmark per design point:
+//
+//   - lat2: LTRF at 2x latency, 30k instructions;
+//   - high-latency: the regime the event-driven clock targets. BL at the DWM
+//     design point (Table 2 config #7) with a 6.3x multiplier, where warps
+//     stall for hundreds of cycles on every slow main-RF read and most
+//     simulated cycles are dead. BenchmarkSimulatorThroughputCycleAccurate
+//     in internal/sim runs the same point on the test-only reference stack
+//     (one-cycle clock, linear scan);
+//   - low-latency: the opposite regime. BL at the baseline technology with
+//     no multiplier, where almost every cycle has some warp issuing, so the
+//     per-pass issue scan itself dominates (the indexed scan's target);
+//   - simulate-*: the five configurations of the benchmark's simulate
+//     workload (simCases in perfbench/simulate.go), at their default
+//     budget. `go test -run NONE -bench SimulatorThroughput/simulate
+//     -cpuprofile cpu.prof` profiles exactly what that workload measures.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	benchThroughput(b, ltrf.SimOptions{Design: ltrf.LTRF, LatencyX: 2, MaxInstrs: 30000}, "hotspot")
-}
-
-// BenchmarkSimulatorThroughputHighLatency measures the regime the
-// event-driven clock targets: a non-prefetching register file at the DWM
-// design point (Table 2 config #7) with a 6.3x latency multiplier, where
-// warps stall for hundreds of cycles on every slow main-RF read and most
-// simulated cycles are dead. PR 5's fast-forward core is >=3x faster here
-// than the cycle-ticking loop it replaced (see BENCH_PR5.json).
-// BenchmarkSimulatorThroughputCycleAccurate in internal/sim runs the same
-// point on the test-only reference stack (one-cycle clock, linear scan).
-func BenchmarkSimulatorThroughputHighLatency(b *testing.B) {
-	benchThroughput(b, ltrf.SimOptions{Design: ltrf.BL, TechConfig: 7, LatencyX: 6.3, MaxInstrs: 30000}, "sgemm")
-}
-
-// BenchmarkSimulatorThroughputLowLatency measures the opposite regime from
-// the high-latency points: BL at the baseline technology (Table 2 config #1)
-// with no latency multiplier, where almost every cycle has SOME warp
-// issuing, so the event-driven clock finds few dead spans to skip and the
-// per-pass issue scan itself dominates. This is the point the indexed
-// ready-warp scan (PR 7) targets: a pass costs O(issued + events), not
-// O(active warps).
-func BenchmarkSimulatorThroughputLowLatency(b *testing.B) {
-	benchThroughput(b, ltrf.SimOptions{Design: ltrf.BL, TechConfig: 1, LatencyX: 1.0, MaxInstrs: 30000}, "sgemm")
+	for _, c := range []struct {
+		name, workload string
+		opts           ltrf.SimOptions
+	}{
+		{"lat2", "hotspot", ltrf.SimOptions{Design: ltrf.LTRF, LatencyX: 2, MaxInstrs: 30000}},
+		{"high-latency", "sgemm", ltrf.SimOptions{Design: ltrf.BL, TechConfig: 7, LatencyX: 6.3, MaxInstrs: 30000}},
+		{"low-latency", "sgemm", ltrf.SimOptions{Design: ltrf.BL, TechConfig: 1, LatencyX: 1.0, MaxInstrs: 30000}},
+		{"simulate-ltrf-t7-6.3x-hotspot", "hotspot", ltrf.SimOptions{Design: ltrf.LTRF, TechConfig: 7, LatencyX: 6.3}},
+		{"simulate-bl-t1-1x-sgemm", "sgemm", ltrf.SimOptions{Design: ltrf.BL, TechConfig: 1, LatencyX: 1}},
+		{"simulate-ltrfplus-t7-sgemm", "sgemm", ltrf.SimOptions{Design: ltrf.LTRFPlus, TechConfig: 7}},
+		{"simulate-rfc-lbm-cta", "lbm", ltrf.SimOptions{Design: ltrf.RFC, Prefetch: "cta"}},
+		{"simulate-bl-smempipe-stride-2cta", "smempipe", ltrf.SimOptions{Design: ltrf.BL, Prefetch: "stride", CTAsPerSM: 2}},
+	} {
+		b.Run(c.name, func(b *testing.B) { benchThroughput(b, c.opts, c.workload) })
+	}
 }
 
 // benchThroughput measures simulation throughput with the kernel compiled
@@ -192,7 +198,7 @@ func benchThroughput(b *testing.B, o ltrf.SimOptions, workload string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	kernel := w.Build(3)
+	kernel := w.Build(ltrf.UnrollMaxwell)
 	cache := ltrf.NewSimCache()
 	ctx := context.Background()
 	if _, err := ltrf.SimulateCached(ctx, cache, o, kernel); err != nil {

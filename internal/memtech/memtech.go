@@ -199,9 +199,30 @@ func (p Params) Metrics() Metrics {
 		CapPerAreaX:  capX / areaX,
 		CapPerPowerX: capX / powerX,
 		LatencyX:     latX,
-		BankCycles:   int(math.Round(p.bankCyclesF)),
-		NetCycles:    int(math.Round(p.netCyclesF)),
+		BankCycles:   Cycles(p.bankCyclesF),
+		NetCycles:    Cycles(p.netCyclesF),
 	}
+}
+
+// MaxCycles caps every float-to-cycle conversion of the timing model
+// (Cycles). It is about 4,800 times the slowest latency the simulator's
+// domain reaches (Table 2 config #7's 22.2-cycle bank at sim.MaxLatencyX =
+// 10,000 is 222,000 cycles), and it fits an int32, so sums of many capped
+// latencies stay far inside int64.
+const MaxCycles = 1 << 30
+
+// Cycles rounds a duration to whole cycles. It saturates: a duration at or
+// above MaxCycles, +Inf or NaN gives MaxCycles, and a non-positive one
+// gives 0. A plain int(math.Round(x)) would wrap a huge duration to a
+// negative number instead.
+func Cycles(x float64) int {
+	switch {
+	case !(x < MaxCycles):
+		return MaxCycles
+	case x <= 0:
+		return 0
+	}
+	return int(math.Round(x))
 }
 
 // DynEnergyPerAccess returns the relative dynamic energy of one register

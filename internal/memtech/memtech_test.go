@@ -185,3 +185,19 @@ func TestQuickQueueingBounds(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestCyclesSaturates(t *testing.T) {
+	for _, c := range []struct {
+		x    float64
+		want int
+	}{
+		{2.4, 2}, {2.5, 3}, {22.2 * 10_000, 222_000},
+		{0, 0}, {-3, 0}, {-1e19, 0},
+		{MaxCycles - 0.7, MaxCycles - 1}, {MaxCycles, MaxCycles},
+		{1e18, MaxCycles}, {1e19, MaxCycles}, {math.Inf(1), MaxCycles}, {math.NaN(), MaxCycles},
+	} {
+		if got := Cycles(c.x); got != c.want {
+			t.Errorf("Cycles(%g) = %d, want %d", c.x, got, c.want)
+		}
+	}
+}

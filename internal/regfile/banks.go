@@ -15,9 +15,6 @@ type BankSet struct {
 	free       []int64
 	initiation int64
 	latency    int64
-
-	Accesses  int64
-	Conflicts int64 // accesses that had to wait for the bank
 }
 
 // NewBankSet creates n banks with the given initiation interval and access
@@ -51,11 +48,9 @@ func (b *BankSet) Initiation() int64 { return b.initiation }
 // Access requests bank `bank` at cycle `now` and returns the cycle the data
 // is available.
 func (b *BankSet) Access(now int64, bank int) int64 {
-	b.Accesses++
 	start := now
 	if f := b.free[bank]; f > start {
 		start = f
-		b.Conflicts++
 	}
 	b.free[bank] = start + b.initiation
 	return start + b.latency

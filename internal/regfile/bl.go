@@ -95,6 +95,3 @@ func (b *BL) OnActivate(now int64, w *WarpRegs) int64 { return now }
 
 // OnDeactivate is free for the same reason.
 func (b *BL) OnDeactivate(now int64, w *WarpRegs) int64 { return now }
-
-// Banks exposes the main RF bank set (for utilization reporting).
-func (b *BL) Banks() *BankSet { return b.banks }

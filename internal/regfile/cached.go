@@ -19,15 +19,17 @@ import (
 // Every register move costs a fixed amount: the lane and write-back
 // interval are precomputed, victims leave the occupied queue in one walk
 // per operation (WarpRegs.takeOldest, releaseSet), and each eviction frees
-// its slot in constant time. What stays observable is the order of the
-// moves — write-backs and fetches on each crossbar lane, and the banks
-// pushed onto the unused queue — which is the order of the per-register
-// reference in reference_test.go.
+// its slot in constant time. LTRF's PREFETCH goes further and assigns each
+// fetch its bank in closed form (LTRF.OnUnitEnter). What stays observable
+// is the order of the moves — write-backs and fetches on each crossbar
+// lane, and the banks pushed onto the unused queue — which is the order of
+// the per-register reference in reference_test.go. The three bank sets are
+// held by value, so a bank access is one indirection from the design.
 type cached struct {
 	cfg   Config
-	main  *BankSet
-	cache *BankSet
-	xbar  *BankSet // per-lane pipelined occupancy (1 cycle per register)
+	main  BankSet
+	cache BankSet
+	xbar  BankSet // per-lane pipelined occupancy (1 cycle per register)
 	// lane maps each main-RF bank to its crossbar lane (bank mod lanes),
 	// and wbInit is the main bank's write initiation interval a write-back
 	// pays after its lane slot: both fixed per design point, so no
@@ -47,9 +49,9 @@ func newCached(cfg Config) cached {
 	}
 	c := cached{
 		cfg:     cfg,
-		main:    NewBankSet(cfg.Banks, cfg.MainBankInitiation(), cfg.MainBankCycles()),
-		cache:   NewBankSet(cfg.CacheBanks, 1, cfg.CacheCycles),
-		xbar:    NewBankSet(lanes, 1, cfg.XbarCyclesPerReg),
+		main:    *NewBankSet(cfg.Banks, cfg.MainBankInitiation(), cfg.MainBankCycles()),
+		cache:   *NewBankSet(cfg.CacheBanks, 1, cfg.CacheCycles),
+		xbar:    *NewBankSet(lanes, 1, cfg.XbarCyclesPerReg),
 		lane:    make([]int32, cfg.Banks),
 		wbInit:  int64(cfg.MainBankInitiation()),
 		net:     int64(cfg.MainNetCycles()),
@@ -65,14 +67,11 @@ func (c *cached) Stats() *Stats  { return &c.st }
 func (c *cached) Config() Config { return c.cfg }
 
 // readCacheReg reads a resident register from its cache bank after the WCB
-// address-table lookup.
+// address-table lookup. r must be resident: a negative bank is a
+// bookkeeping error and indexes out of range.
 func (c *cached) readCacheReg(now int64, w *WarpRegs, r isa.Reg) int64 {
 	c.st.WCBAccesses++
-	bank := w.CacheBank(r)
-	if bank < 0 {
-		bank = 0
-	}
-	return c.cache.Access(now+int64(c.cfg.WCBCycles), bank)
+	return c.cache.Access(now+int64(c.cfg.WCBCycles), w.CacheBank(r))
 }
 
 // readMainReg reads a register from the main RF (exposed latency).
@@ -107,25 +106,20 @@ func (c *cached) writebackReg(now int64, w *WarpRegs, r isa.Reg) int64 {
 	return c.xbar.Access(now, int(c.lane[mainBank(c.cfg.Banks, w.ID, int(r))])) + c.wbInit
 }
 
-// evict frees victim's cache slot, writing it back first when it is dirty
-// (and, with plusLive, still live). The slot is reusable immediately; the
-// write-back drains in the background. The caller has already taken victim
-// off the occupied queue.
-func (c *cached) evict(now int64, w *WarpRegs, victim isa.Reg, plusLive bool) {
-	if w.Dirty.Test(int(victim)) && (!plusLive || w.Live.Test(int(victim))) {
-		c.writebackReg(now, w, victim)
-	}
-	w.freeSlot(victim)
-}
-
 // installReg allocates a slot for r, evicting the oldest resident register
-// (FIFO replacement) when the partition is full.
+// (FIFO replacement) when the partition is full. A dirty victim is written
+// back first; its slot is reusable immediately while the write-back drains
+// in the background.
 func (c *cached) installReg(now int64, w *WarpRegs, r isa.Reg) {
 	if w.Present.Test(int(r)) {
 		return
 	}
 	if w.FreeSlots() == 0 {
-		c.evict(now, w, w.popOldest(), false)
+		victim := w.popOldest()
+		if w.Dirty.Test(int(victim)) {
+			c.writebackReg(now, w, victim)
+		}
+		w.freeSlot(victim)
 	}
 	w.allocate(r)
 }

@@ -74,34 +74,22 @@ func Baseline(latX float64, cacheBanks int) Config {
 }
 
 // MainBankCycles returns the effective bank access latency after applying
-// the latency multiplier (minimum 1 cycle).
+// the latency multiplier (minimum 1 cycle, saturating at memtech.MaxCycles).
 func (c Config) MainBankCycles() int {
-	v := int(math.Round(c.BankCyclesF * c.LatencyX))
-	if v < 1 {
-		v = 1
-	}
-	return v
+	return max(1, memtech.Cycles(c.BankCyclesF*c.LatencyX))
 }
 
 // MainBankInitiation returns the bank initiation interval (cycle time): the
 // unscaled base bank time. Latency multipliers model slower cells whose
 // banks remain pipelined (Table 2 designs raise latency, not cycle time).
 func (c Config) MainBankInitiation() int {
-	v := int(math.Round(c.BankCyclesF))
-	if v < 1 {
-		v = 1
-	}
-	return v
+	return max(1, memtech.Cycles(c.BankCyclesF))
 }
 
 // MainNetCycles returns the effective network traversal time after applying
-// the latency multiplier (minimum 1 cycle).
+// the latency multiplier (minimum 1 cycle, saturating at memtech.MaxCycles).
 func (c Config) MainNetCycles() int {
-	v := int(math.Round(c.NetCyclesF * c.LatencyX))
-	if v < 1 {
-		v = 1
-	}
-	return v
+	return max(1, memtech.Cycles(c.NetCyclesF*c.LatencyX))
 }
 
 // MainAccessCycles is the un-queued main RF access latency.
@@ -112,8 +100,8 @@ func (c Config) Validate() error {
 	if c.Banks <= 0 || c.CacheBanks <= 0 {
 		return fmt.Errorf("regfile: non-positive bank counts in %+v", c)
 	}
-	if c.LatencyX <= 0 {
-		return fmt.Errorf("regfile: latency multiplier %v must be positive", c.LatencyX)
+	if !(c.LatencyX > 0) || math.IsInf(c.LatencyX, 1) {
+		return fmt.Errorf("regfile: latency multiplier %v must be positive and finite", c.LatencyX)
 	}
 	if c.XbarCyclesPerReg <= 0 || c.OperandPorts <= 0 {
 		return fmt.Errorf("regfile: invalid crossbar/port config %+v", c)

@@ -1,6 +1,8 @@
 package regfile
 
 import (
+	"math/bits"
+
 	"ltrf/internal/bitvec"
 	"ltrf/internal/isa"
 )
@@ -56,16 +58,19 @@ func (c *LTRF) Name() string {
 // ReadOperands: every source is guaranteed resident by the PREFETCH
 // contract, so reads see only WCB + cache-bank latency. A read of a
 // non-resident register (possible only for registers never written, e.g.
-// uninitialized reads) falls back to the main RF and is counted.
+// uninitialized reads) falls back to the main RF and is counted. The
+// address table is the residency test and names the bank, and the read
+// counters are added once per call.
 func (c *LTRF) ReadOperands(now int64, w *WarpRegs, srcs []isa.Reg) int64 {
 	start := now + operandOverhead(&c.cfg, len(srcs))
+	cacheStart := start + int64(c.cfg.WCBCycles)
 	done := start
+	hits := int64(0)
 	for _, r := range srcs {
-		c.st.CacheReads++
 		var t int64
-		if w.Present.Test(int(r)) {
-			c.st.CacheReadHits++
-			t = c.readCacheReg(start, w, r)
+		if bank := w.addrTable[r]; bank >= 0 {
+			hits++
+			t = c.cache.Access(cacheStart, int(bank))
 		} else {
 			c.st.FallbackReads++
 			t = c.readMainReg(start, w, r)
@@ -75,6 +80,9 @@ func (c *LTRF) ReadOperands(now int64, w *WarpRegs, srcs []isa.Reg) int64 {
 			done = t
 		}
 	}
+	c.st.CacheReads += int64(len(srcs))
+	c.st.CacheReadHits += hits
+	c.st.WCBAccesses += hits
 	return done
 }
 
@@ -99,12 +107,20 @@ func (c *LTRF) WriteResult(now int64, w *WarpRegs, dst isa.Reg) int64 {
 // last register arrives; other active warps keep issuing, which is the
 // latency overlap at the heart of LTRF.
 //
-// The eviction count is known up front (missing registers beyond the free
-// slots), so one walk of the occupied queue takes every victim, oldest
-// first; each is evicted just before the fetch that needs its slot, which
-// keeps the write-back/fetch order on every crossbar lane. When the
-// working set outgrows the partition, the victims run out and the oldest
-// resident — a working-set register — goes instead.
+// The address allocation unit's queues (Figure 8) are walked in closed
+// form, in one loop over the missing registers in ascending order. Fetch k
+// below the free-slot count takes the unused queue's k-th bank. Every later
+// fetch evicts one victim and takes the bank it frees: the unused queue is
+// empty by then, so that bank is exactly the one the next allocation would
+// dequeue. The eviction count is known up front (missing registers beyond
+// the free slots), so one walk of the occupied queue (takeOldest) takes the
+// victims outside the working set, oldest first; when the working set
+// outgrows the partition they run out and the oldest resident — a
+// working-set register, possibly one fetched earlier in this loop — goes
+// instead. A victim's write-back issues in the same iteration, just before
+// the fetch that needs its slot, which keeps the write-back/fetch order on
+// every crossbar lane. The valid and dirty bit-vectors and the unused
+// queue's head are updated once, after the loop.
 func (c *LTRF) OnUnitEnter(now int64, w *WarpRegs, unitID int, ws bitvec.Vector) int64 {
 	if unitID == w.CurUnit {
 		return now
@@ -113,35 +129,54 @@ func (c *LTRF) OnUnitEnter(now int64, w *WarpRegs, unitID int, ws bitvec.Vector)
 
 	done := now
 	fetch := ws.Diff(w.Present)
-	free := w.FreeSlots()
+	free := w.freeLen
+	n := fetch.Count()
 	victims := c.victims[:0]
-	if n := fetch.Count(); n > free {
+	if n > free {
 		victims = w.takeOldest(ws, n-free, victims)
 	}
+	var evicted bitvec.Vector
 	k := 0 // fetches so far
-	fetch.ForEach(func(i int) {
-		r := isa.Reg(i)
-		if k >= free {
-			var victim isa.Reg
-			if j := k - free; j < len(victims) {
-				victim = victims[j]
+	for wi, word := range fetch {
+		for ; word != 0; word &= word - 1 {
+			i := wi<<6 | bits.TrailingZeros64(word)
+			r := isa.Reg(i)
+			var bank int16
+			if k < free {
+				bank = w.freeBanks[w.ringAdd(w.freeHead, k)]
 			} else {
-				victim = w.popOldest()
+				var victim isa.Reg
+				if j := k - free; j < len(victims) {
+					victim = victims[j]
+				} else {
+					victim = w.popOldest()
+				}
+				if w.Dirty.Test(int(victim)) && (!c.plus || w.Live.Test(int(victim))) {
+					c.writebackReg(now, w, victim)
+				}
+				bank = w.addrTable[victim]
+				w.addrTable[victim] = -1
+				evicted.Set(int(victim))
 			}
-			c.evict(now, w, victim, c.plus)
+			k++
+			w.occupy(r, bank)
+			if c.plus && !w.Live.Test(i) {
+				// Dead register: allocate space only; its first access
+				// will be a write (§3.2).
+				continue
+			}
+			c.st.PrefetchRegs++
+			if t := c.fetchReg(now, w, r); t > done {
+				done = t
+			}
 		}
-		k++
-		w.allocate(r)
-		if c.plus && !w.Live.Test(i) {
-			// Dead register: allocate space only; its first access will
-			// be a write (§3.2).
-			return
-		}
-		c.st.PrefetchRegs++
-		if t := c.fetchReg(now, w, r); t > done {
-			done = t
-		}
-	})
+	}
+	w.Present = w.Present.Union(fetch).Diff(evicted)
+	w.Dirty = w.Dirty.Diff(evicted)
+	if n > 0 {
+		w.freeHead = (w.freeHead + n) % len(w.freeBanks)
+		w.freeLen -= min(n, free)
+	}
 	w.WS = ws
 	w.CurUnit = unitID
 	return done

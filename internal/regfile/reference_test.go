@@ -619,7 +619,7 @@ func sameBookkeeping(sub Subsystem, ref refSubsystem, ws []*WarpRegs, rs []*refW
 		}
 	}
 	for name, pair := range map[string][2]*BankSet{
-		"main": {c.main, rc.main}, "cache": {c.cache, rc.cache}, "xbar": {c.xbar, rc.xbar},
+		"main": {&c.main, rc.main}, "cache": {&c.cache, rc.cache}, "xbar": {&c.xbar, rc.xbar},
 	} {
 		if !reflect.DeepEqual(pair[0], pair[1]) {
 			return fmt.Errorf("%s banks %+v, reference %+v", name, *pair[0], *pair[1])

@@ -105,11 +105,18 @@ func (w *WarpRegs) allocate(r isa.Reg) bool {
 	bank := w.freeBanks[w.freeHead]
 	w.freeHead = w.ringNext(w.freeHead)
 	w.freeLen--
-	w.addrTable[r] = bank
 	w.Present.Set(int(r))
+	w.occupy(r, bank)
+	return true
+}
+
+// occupy records r in cache bank bank and appends it to the occupied
+// queue. The caller has taken bank off the unused queue and keeps the
+// valid bit-vector.
+func (w *WarpRegs) occupy(r isa.Reg, bank int16) {
+	w.addrTable[r] = bank
 	w.fifo[w.ringAdd(w.fifoHead, w.fifoLen)] = r
 	w.fifoLen++
-	return true
 }
 
 // freeSlot returns resident register r's cache bank to the tail of the

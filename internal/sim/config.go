@@ -295,9 +295,8 @@ func (c *Config) CapacityScale(demand int, kernel *isa.Program) float64 {
 // MaxLatencyX is the largest main-RF latency multiplier Validate accepts.
 // The paper's sweeps stop at 8x (Figures 11-14); 10,000x leaves room for
 // stress points far beyond them while every latency the timing model derives
-// from it (a few bank cycles times LatencyX) stays far inside int's range —
-// the float-to-cycle conversions do not saturate, and near 1e19 they
-// overflow.
+// from it (a few bank cycles times LatencyX) stays far below the cap at
+// which the float-to-cycle conversions saturate (memtech.MaxCycles).
 const MaxLatencyX = 10_000
 
 // Validate checks the configuration for consistency. It is the one

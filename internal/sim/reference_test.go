@@ -178,7 +178,7 @@ func (sm *SM) issueCycleScan() int {
 
 		// Barrier.
 		if in.Op == isa.OpBar {
-			w.advance(in, m)
+			w.advance(sm.prog.Instrs, m)
 			w.retired++
 			sm.instrs++
 			sm.st.CtrlOps++
@@ -190,7 +190,7 @@ func (sm *SM) issueCycleScan() int {
 			continue
 		}
 
-		sm.issueInstr(w, in, m, col)
+		sm.issueInstr(w, m, col)
 		issued++
 		if w.state == stateFinished {
 			sm.finished++
@@ -251,8 +251,8 @@ func TestReferenceStackRuns(t *testing.T) {
 }
 
 // BenchmarkSimulatorThroughputCycleAccurate runs the reference stack at the
-// root package's BenchmarkSimulatorThroughputHighLatency point (BL, Table 2
-// config #7, 6.3x latency, sgemm), so the ratio of the two measures what
+// root package's BenchmarkSimulatorThroughput/high-latency point (BL, Table
+// 2 config #7, 6.3x latency, sgemm), so the ratio of the two measures what
 // the event-driven clock and the indexed scan buy.
 func BenchmarkSimulatorThroughputCycleAccurate(b *testing.B) {
 	w, err := workloads.ByName("sgemm")

@@ -502,21 +502,19 @@ func (sm *SM) visitActive(pos int, now int64) (issued, removed int) {
 		sm.ringParkScan(w, pos, w.readyAt)
 		return 0, 0
 	}
-	in := &sm.prog.Instrs[w.pc]
 	m := &sm.meta[w.pc]
 
-	// PREFETCH at unit boundary.
-	if sm.part != nil {
-		if uid := sm.part.UnitID(w.pc); uid != w.Regs.CurUnit {
-			stall := sm.rf.OnUnitEnter(sm.cycle, w.Regs, uid, sm.part.Units[uid].WorkingSet)
-			if stall <= sm.cycle {
-				stall = sm.cycle + 1
-			}
-			sm.st.PrefetchStallCycles += stall - sm.cycle
-			w.readyAt = stall
-			sm.ringParkScan(w, pos, stall)
-			return 0, 0
+	// PREFETCH at unit boundary. Without a partition m.unit and CurUnit
+	// are both -1.
+	if uid := int(m.unit); uid != w.Regs.CurUnit {
+		stall := sm.rf.OnUnitEnter(sm.cycle, w.Regs, uid, sm.part.Units[uid].WorkingSet)
+		if stall <= sm.cycle {
+			stall = sm.cycle + 1
 		}
+		sm.st.PrefetchStallCycles += stall - sm.cycle
+		w.readyAt = stall
+		sm.ringParkScan(w, pos, stall)
+		return 0, 0
 	}
 
 	// Scoreboard. A warp blocked on a load result for longer than the
@@ -583,8 +581,8 @@ func (sm *SM) visitActive(pos int, now int64) (issued, removed int) {
 	}
 
 	// Barrier.
-	if in.Op == isa.OpBar {
-		w.advance(in, m)
+	if m.op == isa.OpBar {
+		w.advance(sm.prog.Instrs, m)
 		w.retired++
 		sm.instrs++
 		sm.st.CtrlOps++
@@ -596,7 +594,7 @@ func (sm *SM) visitActive(pos int, now int64) (issued, removed int) {
 		return 1, 1
 	}
 
-	sm.issueInstr(w, in, m, col)
+	sm.issueInstr(w, m, col)
 	w.sbOK = false
 	if w.state == stateFinished {
 		sm.finished++
@@ -620,8 +618,7 @@ func (sm *SM) visitActive(pos int, now int64) (issued, removed int) {
 	// hasEarlierCandidate test must read the pool at cycle+1) fall back to
 	// a normal visit.
 	wake := now + 1
-	if sm.part == nil || sm.part.UnitID(w.pc) == w.Regs.CurUnit {
-		m2 := &sm.meta[w.pc]
+	if m2 := &sm.meta[w.pc]; int(m2.unit) == w.Regs.CurUnit {
 		if ready, onLoad := w.operandsReadyAt(m2, now+1); ready > now+1 {
 			if !(onLoad && ready-(now+1) >= sm.cfg.DeactivateThreshold && sm.twoLevel()) {
 				w.readyAt = ready

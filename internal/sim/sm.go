@@ -215,7 +215,7 @@ func (sm *SM) cancelErr() error {
 // warpIDBase offsets global warp identities so that SMs of a multi-SM GPU
 // generate distinct memory address streams (grid-style work distribution).
 func newSM(cfg *Config, prog *isa.Program, part *core.Partition, rf regfile.Subsystem, mem *memsys.Hierarchy, nWarps, activeCap, warpIDBase int) *SM {
-	meta, slots := buildInstrMeta(prog)
+	meta, slots := buildInstrMeta(prog, part)
 	sm := &SM{
 		cfg: cfg, prog: prog, meta: meta, part: part, rf: rf, mem: mem,
 		activeCap:  activeCap,
@@ -534,7 +534,7 @@ func (sm *SM) maybeReleaseBarrier(cta int) {
 // m is the instruction's precomputed metadata and col the operand collector
 // issueCycle already claimed for it (-1 when it has no register sources and
 // needs none).
-func (sm *SM) issueInstr(w *Warp, in *isa.Instr, m *instrMeta, col int) {
+func (sm *SM) issueInstr(w *Warp, m *instrMeta, col int) {
 	opReady := sm.cycle
 	if m.nsrc > 0 {
 		sm.st.OperandReads += int64(m.nsrc)
@@ -558,7 +558,7 @@ func (sm *SM) issueInstr(w *Warp, in *isa.Instr, m *instrMeta, col int) {
 		sm.st.MemOps++
 		iter := w.counts[m.slot]
 		w.counts[m.slot]++
-		done, _ := sm.mem.Access(opReady, in, w.ID, int(w.cta), w.pc, int64(iter))
+		done, _ := sm.mem.Access(opReady, &sm.prog.Instrs[w.pc], w.ID, int(w.cta), w.pc, int64(iter))
 		if m.isStore {
 			execDone = opReady + 1 // stores retire via the store queue
 		} else {
@@ -579,7 +579,7 @@ func (sm *SM) issueInstr(w *Warp, in *isa.Instr, m *instrMeta, col int) {
 	}
 
 	w.updateLiveness(m)
-	w.advance(in, m)
+	w.advance(sm.prog.Instrs, m)
 	w.retired++
 	sm.instrs++
 	w.readyAt = sm.cycle + 1

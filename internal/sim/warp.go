@@ -110,14 +110,16 @@ func (w *Warp) operandsReadyAt(m *instrMeta, now int64) (ready int64, blockedOnL
 	return t, blockedOnLoad
 }
 
-// advance moves the warp's PC past the instruction at pc, resolving
-// branches: counted loop branches use their per-slot trip counters,
-// probabilistic branches the warp's deterministic RNG.
-func (w *Warp) advance(in *isa.Instr, m *instrMeta) {
-	switch in.Op {
+// advance moves the warp's PC past the instruction at pc, whose digest is
+// m, resolving branches: counted loop branches use their per-slot trip
+// counters, probabilistic branches the warp's deterministic RNG. Only a
+// branch reads its full instruction from instrs.
+func (w *Warp) advance(instrs []isa.Instr, m *instrMeta) {
+	switch m.op {
 	case isa.OpBra:
-		w.pc = in.Target
+		w.pc = instrs[w.pc].Target
 	case isa.OpBraCond:
+		in := &instrs[w.pc]
 		if in.Trip > 0 {
 			w.counts[m.slot]++
 			if int(w.counts[m.slot]) < in.Trip {
