@@ -7,9 +7,13 @@
 //
 // Usage:
 //
-//	ltrf-sim -workload sgemm -design LTRF -latency 6.3
+//	ltrf-sim -workload sgemm -design LTRF -latency_x 6.3
 //	ltrf-sim -workload btree -design RFC -tech 7
-//	ltrf-sim -workload regpipe -design LTRF -latency 6.3 -sched static
+//	ltrf-sim -workload regpipe -design LTRF -latency_x 6.3 -scheduler static
+//
+// The point flags carry the HTTP API's field names (/v1/eval): -design,
+// -workload, -tech, -latency_x, -budget, -regs_per_interval,
+// -active_warps, -scheduler, -prefetch and -ctas.
 package main
 
 import (
@@ -18,33 +22,21 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"ltrf"
 )
-
-// resolveDesign matches a -design argument against the design registry
-// (case-insensitive via DesignByName), with the historical "LTRFstrand"
-// spelling kept as an alias. The error for an unknown design lists every
-// registered name.
-func resolveDesign(s string) (ltrf.Design, error) {
-	if strings.EqualFold(s, "LTRFstrand") {
-		return ltrf.LTRFStrand, nil
-	}
-	return ltrf.DesignByName(s)
-}
 
 func main() {
 	var (
 		workload = flag.String("workload", "sgemm", "workload name (see -list)")
 		design   = flag.String("design", "LTRF", "registered design name (BL | RFC | SHRF | LTRF | LTRF+ | LTRF(strand) | Ideal | comp | regdem | ...)")
 		tech     = flag.Int("tech", 1, "Table 2 main register file config (1..7)")
-		latency  = flag.Float64("latency", 1.0, "main RF latency multiplier")
-		warps    = flag.Int("active", 0, "active warps (0 = Table 3 default of 8)")
-		n        = flag.Int("n", 0, "registers per register-interval (0 = default 16)")
-		instrs   = flag.Int64("instrs", 0, "dynamic instruction budget (0 = default)")
-		sched    = flag.String("sched", "", "warp scheduler: twolevel (default) | static | flat")
+		latencyX = flag.Float64("latency_x", 1.0, "main RF latency multiplier")
+		budget   = flag.Int64("budget", 0, "dynamic instruction budget (0 = the default of 200000)")
+		rpi      = flag.Int("regs_per_interval", 0, "registers per register-interval (0 = Table 3 default of 16)")
+		warps    = flag.Int("active_warps", 0, "active warps (0 = Table 3 default of 8)")
+		sched    = flag.String("scheduler", "", "warp scheduler: twolevel (default) | static | flat")
 		prefetch = flag.String("prefetch", "", "hardware prefetcher: off (default) | stride | cta")
 		ctas     = flag.Int("ctas", 0, "resident CTAs per SM (0 = one CTA; splits warps, barriers, and the shared-memory budget)")
 		timeout  = flag.Duration("timeout", 0, "abort the simulation after this duration (0 = none); Ctrl-C aborts too")
@@ -74,7 +66,7 @@ func main() {
 		return
 	}
 
-	d, err := resolveDesign(*design)
+	d, err := ltrf.DesignByName(*design)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ltrf-sim:", err)
 		os.Exit(2)
@@ -95,8 +87,8 @@ func main() {
 		defer cancel()
 	}
 	res, err := ltrf.SimulateContext(ctx, ltrf.SimOptions{
-		Design: d, TechConfig: *tech, LatencyX: *latency,
-		ActiveWarps: *warps, IntervalRegs: *n, MaxInstrs: *instrs,
+		Design: d, TechConfig: *tech, LatencyX: *latencyX,
+		ActiveWarps: *warps, IntervalRegs: *rpi, MaxInstrs: *budget,
 		Scheduler: ltrf.Scheduler(*sched),
 		Prefetch:  *prefetch,
 		CTAsPerSM: *ctas,
@@ -107,7 +99,7 @@ func main() {
 	}
 
 	fmt.Printf("workload        %s (%s)\n", w.Name, w.Suite)
-	fmt.Printf("design          %s, tech #%d, latency %.2fx\n", res.Design, *tech, *latency)
+	fmt.Printf("design          %s, tech #%d, latency %.2fx\n", res.Design, *tech, *latencyX)
 	fmt.Printf("warps           %d resident (%d regs/thread, demand %d, spilled %d)\n",
 		res.Warps, res.RegsPerThread, res.Demand, res.SpilledRegs)
 	fmt.Printf("IPC             %.3f (%d instrs / %d cycles)\n", res.IPC, res.Instrs, res.Cycles)

@@ -63,19 +63,29 @@ func (o Options) point(d sim.Design, tech int, latX float64, workload string) Po
 	}
 }
 
-// config assembles the point's full simulator configuration — the single
-// code path shared by fresh evaluation and store rehydration, so a
-// rehydrated Result carries exactly the Config a fresh run would have.
-func (p Point) config() (sim.Config, error) {
-	tech, err := memtech.Config(p.Tech)
-	if err != nil {
-		return sim.Config{}, err
-	}
+// Config maps the point's axes onto a simulator configuration. It is the
+// one axes-to-sim.Config mapping: fresh evaluation, store rehydration and
+// the ltrf package's SimOptions all go through it, so a rehydrated Result
+// carries exactly the Config a fresh run would have. A zero axis keeps
+// sim.DefaultConfig's Table 3 value (technology #1, latency 1x, a 200,000
+// instruction budget, the design's knobs); the cycle cap always follows
+// the budget (sim.CycleCap).
+func (p Point) Config() (sim.Config, error) {
 	c := sim.DefaultConfig(p.Design)
-	c.Tech = tech
-	c.LatencyX = p.LatencyX
-	c.MaxInstrs = p.Budget
-	c.MaxCycles = sim.CycleCap(p.Budget)
+	if p.Tech != 0 {
+		tech, err := memtech.Config(p.Tech)
+		if err != nil {
+			return sim.Config{}, err
+		}
+		c.Tech = tech
+	}
+	if p.LatencyX != 0 {
+		c.LatencyX = p.LatencyX
+	}
+	if p.Budget != 0 {
+		c.MaxInstrs = p.Budget
+	}
+	c.MaxCycles = sim.CycleCap(c.MaxInstrs)
 	if p.RegsPerInterval != 0 {
 		c.RegsPerInterval = p.RegsPerInterval
 	}
@@ -89,12 +99,13 @@ func (p Point) config() (sim.Config, error) {
 }
 
 // Resolve maps a point as an API client states it onto the simulation
-// domain sim.Config.Validate defines. It fills the zero-value defaults —
-// Tech 1, LatencyX 1, Budget the full-run experiment budget — resolves the
-// design and workload names through their registries (so any accepted
-// spelling becomes the registered one), and validates the point's
-// configuration. Every other field is returned as given: the result is the
-// point's memo and store key, so Resolve folds nothing else.
+// domain sim.Config.Validate defines. It fills the API's zero-value
+// defaults — Tech 1, LatencyX 1, Budget the full-run experiment budget
+// (40,000, where Config alone would take 200,000) — resolves the design
+// and workload names through their registries (so any accepted spelling
+// becomes the registered one), and validates the point's configuration.
+// Every other field is returned as given: the result is the point's memo
+// and store key, so Resolve folds nothing else.
 func (p Point) Resolve() (Point, error) {
 	if p.Tech == 0 {
 		p.Tech = 1
@@ -115,7 +126,7 @@ func (p Point) Resolve() (Point, error) {
 		return Point{}, err
 	}
 	p.Workload = w.Name
-	c, err := p.config()
+	c, err := p.Config()
 	if err != nil {
 		return Point{}, err
 	}
@@ -548,7 +559,7 @@ func (e *Engine) evalUncached(ctx context.Context, p Point) (*sim.Result, error)
 	if err != nil {
 		return nil, err
 	}
-	c, err := p.config()
+	c, err := p.Config()
 	if err != nil {
 		return nil, err
 	}

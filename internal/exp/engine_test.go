@@ -182,7 +182,7 @@ func TestRunBatchKernelBatching(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := p.config()
+		c, err := p.Config()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"ltrf/internal/regfile"
-	"ltrf/internal/sim"
 	"ltrf/internal/workloads"
 )
 
@@ -164,15 +163,6 @@ func (o Options) Validate() error {
 	}
 	_, err := o.evalSet()
 	return err
-}
-
-// baseConfig returns the Table 3 system for a design with the experiment
-// budget applied.
-func (o Options) baseConfig(d sim.Design) sim.Config {
-	c := sim.DefaultConfig(d)
-	c.MaxInstrs = o.budget()
-	c.MaxCycles = sim.CycleCap(c.MaxInstrs)
-	return c
 }
 
 // Spec describes a runnable experiment.

@@ -81,7 +81,7 @@ func decodeResult(p Point, data []byte) (*sim.Result, error) {
 	if sr.Stats.Cycles <= 0 {
 		return nil, fmt.Errorf("exp: stored result for %s: implausible (Cycles=%d)", p.storeKey(), sr.Stats.Cycles)
 	}
-	c, err := p.config()
+	c, err := p.Config()
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,7 @@ import (
 	_ "ltrf/internal/faultinject"
 	"ltrf/internal/sim"
 	"ltrf/internal/store"
+	"ltrf/internal/workloads"
 )
 
 // openTestStore opens a store at dir with the engine's live schema version,
@@ -269,5 +270,53 @@ func TestGoldenByteIdenticalWithStore(t *testing.T) {
 	}
 	if warmEng.Sims() != 0 {
 		t.Errorf("warm store run re-simulated %d points, want 0", warmEng.Sims())
+	}
+}
+
+// TestStoreKeysPinned pins the store address of points as a client states
+// them: Resolve, then canon, then storeKey. A respelling of any axis that
+// moved one of these strings would orphan every stored result under it.
+func TestStoreKeysPinned(t *testing.T) {
+	const def = "design=BL;tech=1;latx=1;wl=sgemm;unroll=3;budget=40000;rpi=0;aw=0"
+	for _, c := range []struct {
+		name string
+		p    Point
+		want string
+	}{
+		{"defaults", Point{}, def},
+		{"design", Point{Design: "LTRF"}, "design=LTRF;tech=1;latx=1;wl=sgemm;unroll=3;budget=40000;rpi=0;aw=0"},
+		{"workload", Point{Workload: "btree"}, "design=BL;tech=1;latx=1;wl=btree;unroll=3;budget=40000;rpi=0;aw=0"},
+		{"tech", Point{Tech: 7}, "design=BL;tech=7;latx=1;wl=sgemm;unroll=3;budget=40000;rpi=0;aw=0"},
+		{"latency", Point{LatencyX: 6.3}, "design=BL;tech=1;latx=6.3;wl=sgemm;unroll=3;budget=40000;rpi=0;aw=0"},
+		{"budget", Point{Budget: 12_000}, "design=BL;tech=1;latx=1;wl=sgemm;unroll=3;budget=12000;rpi=0;aw=0"},
+		{"regs per interval", Point{RegsPerInterval: 32}, "design=BL;tech=1;latx=1;wl=sgemm;unroll=3;budget=40000;rpi=32;aw=0"},
+		{"active warps", Point{ActiveWarps: 4}, "design=BL;tech=1;latx=1;wl=sgemm;unroll=3;budget=40000;rpi=0;aw=4"},
+		{"scheduler", Point{Scheduler: sim.SchedStatic}, def + ";sched=static"},
+		{"prefetch", Point{Prefetch: "stride"}, def + ";pref=stride"},
+		{"ctas", Point{CTAs: 2}, def + ";ctas=2"},
+		{"every axis", Point{Design: "LTRF", Tech: 7, LatencyX: 6.3, Workload: "btree", Budget: 12_000,
+			RegsPerInterval: 32, ActiveWarps: 4, Scheduler: sim.SchedFlat, Prefetch: "cta", CTAs: 2},
+			"design=LTRF;tech=7;latx=6.3;wl=btree;unroll=3;budget=12000;rpi=32;aw=4;sched=flat;pref=cta;ctas=2"},
+		{"ltrf+ spelling", Point{Design: "ltrf+"}, "design=LTRF+;tech=1;latx=1;wl=sgemm;unroll=3;budget=40000;rpi=0;aw=0"},
+		{"off spelling", Point{Prefetch: "off"}, def},
+		{"twolevel spelling", Point{Scheduler: sim.SchedTwoLevel}, def},
+		{"one cta", Point{CTAs: 1}, def},
+		{"default regs per interval", Point{RegsPerInterval: 16}, def},
+	} {
+		p := c.p
+		if p.Design == "" {
+			p.Design = sim.DesignBL
+		}
+		if p.Workload == "" {
+			p.Workload = "sgemm"
+		}
+		p.Unroll = workloads.UnrollMaxwell
+		r, err := p.Resolve()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := r.canon().storeKey(); got != c.want {
+			t.Errorf("%s: store key\n got %s\nwant %s", c.name, got, c.want)
+		}
 	}
 }

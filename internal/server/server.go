@@ -32,7 +32,9 @@
 //
 // One domain: every point a request names is resolved by exp.Point.Resolve,
 // which validates it with sim.Config.Validate, before the request is
-// admitted; this package checks no axis value itself.
+// admitted; this package checks no axis value itself. /v1/eval and
+// /v1/sweep accept the same axes, and parsePoint is the one place request
+// axes become a point.
 package server
 
 import (
@@ -344,10 +346,13 @@ type EvalRequest struct {
 	Budget          int64   `json:"budget"`
 	RegsPerInterval int     `json:"regs_per_interval"`
 	ActiveWarps     int     `json:"active_warps"`
-	// Prefetch selects the hardware prefetcher ("", "off", "stride", "cta");
-	// CTAs the resident thread blocks per SM (0 = the single-CTA default).
-	Prefetch string `json:"prefetch"`
-	CTAs     int    `json:"ctas"`
+	// Scheduler selects the warp scheduler ("", "twolevel", "static",
+	// "flat"); Prefetch the hardware prefetcher ("", "off", "stride",
+	// "cta"); CTAs the resident thread blocks per SM (0 = the single-CTA
+	// default).
+	Scheduler string `json:"scheduler"`
+	Prefetch  string `json:"prefetch"`
+	CTAs      int    `json:"ctas"`
 	// AllowTruncated opts into receiving a truncated (cycle-cap-hit) result
 	// as 200 instead of the default 422 error state.
 	AllowTruncated bool `json:"allow_truncated"`
@@ -373,7 +378,8 @@ type EvalResponse struct {
 
 // parsePoint builds the request's point and resolves it (exp.Point.Resolve):
 // validation happens BEFORE evaluation, so bad input is a 400, never a
-// burned simulation slot.
+// burned simulation slot. It is the server's one mapping from request axes
+// to a point; expandSweep resolves every grid point through it too.
 func parsePoint(req *EvalRequest) (exp.Point, error) {
 	return exp.Point{
 		Design:          sim.Design(req.Design),
@@ -384,6 +390,7 @@ func parsePoint(req *EvalRequest) (exp.Point, error) {
 		Budget:          req.Budget,
 		RegsPerInterval: req.RegsPerInterval,
 		ActiveWarps:     req.ActiveWarps,
+		Scheduler:       sim.Scheduler(req.Scheduler),
 		Prefetch:        req.Prefetch,
 		CTAs:            req.CTAs,
 	}.Resolve()

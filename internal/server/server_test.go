@@ -107,6 +107,7 @@ func TestEvalValidationIs400BeforeSimulation(t *testing.T) {
 		{"design": "LTRF", "workload": "sgemm", "active_warps": 65},
 		{"design": "LTRF", "workload": "sgemm", "latency_x": 1e19},
 		{"design": "LTRF", "workload": "sgemm", "prefetch": "nosuch"},
+		{"design": "LTRF", "workload": "sgemm", "scheduler": "nosuch"},
 		{"design": "", "workload": "sgemm"},
 	}
 	for _, c := range cases {

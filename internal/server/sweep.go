@@ -9,7 +9,6 @@ import (
 
 	"ltrf/internal/exp"
 	"ltrf/internal/sim"
-	"ltrf/internal/workloads"
 )
 
 // POST /v1/sweep evaluates a whole design-space grid in one request and
@@ -48,10 +47,13 @@ type SweepRequest struct {
 	// Budget is the per-point dynamic-instruction budget (default 40000).
 	Budget int64 `json:"budget,omitempty"`
 	// Optional axes: scheduler variants, hardware-prefetch modes, resident
-	// CTAs per SM (defaults: two-level, off, one CTA).
-	Schedulers []string `json:"schedulers,omitempty"`
-	Prefetch   []string `json:"prefetch,omitempty"`
-	CTAs       []int    `json:"ctas,omitempty"`
+	// CTAs per SM, registers per register-interval and active warps
+	// (defaults: two-level, off, one CTA, the design's Table 3 knobs).
+	Schedulers      []string `json:"schedulers,omitempty"`
+	Prefetch        []string `json:"prefetch,omitempty"`
+	CTAs            []int    `json:"ctas,omitempty"`
+	RegsPerInterval []int    `json:"regs_per_interval,omitempty"`
+	ActiveWarps     []int    `json:"active_warps,omitempty"`
 	// IncludeStats embeds the full sim.Stats in every result record
 	// (voluminous; off by default).
 	IncludeStats bool `json:"include_stats,omitempty"`
@@ -73,9 +75,11 @@ type SweepResultRecord struct {
 	LatencyX float64 `json:"latency_x"`
 	Budget   int64   `json:"budget"`
 
-	Scheduler string `json:"scheduler,omitempty"`
-	Prefetch  string `json:"prefetch,omitempty"`
-	CTAs      int    `json:"ctas,omitempty"`
+	Scheduler       string `json:"scheduler,omitempty"`
+	Prefetch        string `json:"prefetch,omitempty"`
+	CTAs            int    `json:"ctas,omitempty"`
+	RegsPerInterval int    `json:"regs_per_interval,omitempty"`
+	ActiveWarps     int    `json:"active_warps,omitempty"`
 
 	// Result fields ("result" records only).
 	IPC       float64    `json:"ipc,omitempty"`
@@ -127,13 +131,14 @@ type SweepFail struct {
 const maxSweepPoints = 4096
 
 // expandSweep expands the request to its point grid, resolving every point
-// (exp.Point.Resolve) BEFORE admission, so a value outside the domain is a
-// 400 and never burns an evaluation slot. The grid's size is checked
-// against maxPoints before any point is built, one axis at a time so the
-// product cannot overflow.
+// through parsePoint — the /v1/eval path — BEFORE admission, so a value
+// outside the domain is a 400 and never burns an evaluation slot. The
+// grid's size is checked against maxPoints before any point is built, one
+// axis at a time so the product cannot overflow.
 //
 // Expansion order (fixed, documented, index-defining): designs (outer) ×
-// techs × latency_xs × schedulers × prefetch × ctas × workloads (inner).
+// techs × latency_xs × schedulers × prefetch × ctas × regs_per_interval ×
+// active_warps × workloads (inner).
 func expandSweep(req *SweepRequest, maxPoints int) ([]exp.Point, error) {
 	if len(req.Designs) == 0 {
 		return nil, fmt.Errorf("designs is required (at least one)")
@@ -143,43 +148,38 @@ func expandSweep(req *SweepRequest, maxPoints int) ([]exp.Point, error) {
 	}
 	techs, lats := orZero(req.Techs), orZero(req.LatencyXs)
 	scheds, prefs, ctas := orZero(req.Schedulers), orZero(req.Prefetch), orZero(req.CTAs)
+	rpis, aws := orZero(req.RegsPerInterval), orZero(req.ActiveWarps)
+	dims := []int{len(req.Designs), len(techs), len(lats), len(scheds), len(prefs), len(ctas), len(rpis), len(aws), len(req.Workloads)}
 
 	n := 1
-	for _, l := range []int{len(req.Designs), len(techs), len(lats), len(scheds), len(prefs), len(ctas), len(req.Workloads)} {
+	for _, l := range dims {
 		if n > maxPoints/l {
 			return nil, fmt.Errorf("grid expands to more than the per-sweep cap of %d points — split the request", maxPoints)
 		}
 		n *= l
 	}
-	pts := make([]exp.Point, 0, n)
-	for _, d := range req.Designs {
-		for _, tn := range techs {
-			for _, lx := range lats {
-				for _, sc := range scheds {
-					for _, pm := range prefs {
-						for _, ct := range ctas {
-							for _, wl := range req.Workloads {
-								p, err := exp.Point{
-									Design:    sim.Design(d),
-									Tech:      tn,
-									LatencyX:  lx,
-									Workload:  wl,
-									Unroll:    workloads.UnrollMaxwell,
-									Budget:    req.Budget,
-									Scheduler: sim.Scheduler(sc),
-									Prefetch:  pm,
-									CTAs:      ct,
-								}.Resolve()
-								if err != nil {
-									return nil, err
-								}
-								pts = append(pts, p)
-							}
-						}
-					}
-				}
-			}
+	pts := make([]exp.Point, n)
+	at := make([]int, len(dims)) // index i's position on each axis
+	for i := range pts {
+		for k, r := len(dims)-1, i; k >= 0; k-- {
+			at[k], r = r%dims[k], r/dims[k]
 		}
+		p, err := parsePoint(&EvalRequest{
+			Design:          req.Designs[at[0]],
+			Tech:            techs[at[1]],
+			LatencyX:        lats[at[2]],
+			Scheduler:       scheds[at[3]],
+			Prefetch:        prefs[at[4]],
+			CTAs:            ctas[at[5]],
+			RegsPerInterval: rpis[at[6]],
+			ActiveWarps:     aws[at[7]],
+			Workload:        req.Workloads[at[8]],
+			Budget:          req.Budget,
+		})
+		if err != nil {
+			return nil, err
+		}
+		pts[i] = p
 	}
 	return pts, nil
 }
@@ -284,15 +284,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 func sweepRecord(req *SweepRequest, res exp.StreamResult) SweepResultRecord {
 	p := res.Point
 	rec := SweepResultRecord{
-		Index:     res.Index,
-		Design:    p.Design.Name(),
-		Workload:  p.Workload,
-		Tech:      p.Tech,
-		LatencyX:  p.LatencyX,
-		Budget:    p.Budget,
-		Scheduler: string(p.Scheduler),
-		Prefetch:  p.Prefetch,
-		CTAs:      p.CTAs,
+		Index:           res.Index,
+		Design:          p.Design.Name(),
+		Workload:        p.Workload,
+		Tech:            p.Tech,
+		LatencyX:        p.LatencyX,
+		Budget:          p.Budget,
+		Scheduler:       string(p.Scheduler),
+		Prefetch:        p.Prefetch,
+		CTAs:            p.CTAs,
+		RegsPerInterval: p.RegsPerInterval,
+		ActiveWarps:     p.ActiveWarps,
 	}
 	if res.Err != nil {
 		rec.Type = "error"

@@ -7,13 +7,16 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"ltrf/internal/exp"
 	"ltrf/internal/faultinject"
+	"ltrf/internal/sim"
 	"ltrf/internal/store"
+	"ltrf/internal/workloads"
 )
 
 // postSweep fires a sweep request and returns the raw response for the
@@ -45,6 +48,7 @@ type sweepLine struct {
 	Cancelled int         `json:"cancelled"`
 	Truncated interface{} `json:"truncated"` // []int on summaries, bool on results
 	Failures  []SweepFail `json:"failures"`
+	Stats     *sim.Stats  `json:"stats"`
 }
 
 func decodeSweepStream(t *testing.T, resp *http.Response) []sweepLine {
@@ -204,6 +208,11 @@ func TestSweepValidationRejectsBeforeAdmission(t *testing.T) {
 			"designs": huge("BL"), "workloads": huge("vectoradd"), "techs": huge(1),
 			"latency_xs": huge(1), "schedulers": huge(""), "prefetch": huge(""), "ctas": huge(0),
 		},
+		"2^90-point grid": {
+			"designs": huge("BL"), "workloads": huge("vectoradd"), "techs": huge(1),
+			"latency_xs": huge(1), "schedulers": huge(""), "prefetch": huge(""), "ctas": huge(0),
+			"regs_per_interval": huge(0), "active_warps": huge(0),
+		},
 		"ctas above MaxWarps":   {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "ctas": []int{0, 65}},
 		"latency above the max": {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "latency_xs": []float64{1, 1e19}},
 		"no designs":            {"workloads": []string{"vectoradd"}},
@@ -214,6 +223,8 @@ func TestSweepValidationRejectsBeforeAdmission(t *testing.T) {
 		"bad latency":           {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "latency_xs": []float64{-1}},
 		"bad scheduler":         {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "schedulers": []string{"nosuch"}},
 		"bad prefetch":          {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "prefetch": []string{"nosuch"}},
+		"bad regs_per_interval": {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "regs_per_interval": []int{16, 2}},
+		"bad active_warps":      {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "active_warps": []int{8, 65}},
 		"negative budget":       {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "budget": -1},
 	} {
 		resp := postSweep(t, ts, body)
@@ -359,5 +370,152 @@ func TestMetaExposesLeaseCounters(t *testing.T) {
 	}
 	if sm.Puts != 1 {
 		t.Errorf("puts = %d, want 1", sm.Puts)
+	}
+}
+
+// TestSweepPointMatchesEval pins that a one-point sweep is the /v1/eval
+// request with the same values, axis by axis: both resolve to the same
+// point, and simulated on separate engines they return equal Stats.
+func TestSweepPointMatchesEval(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	_, evalTS := newTestServer(t, Config{})
+	_, sweepTS := newTestServer(t, Config{})
+	for _, c := range []struct {
+		evalKey, sweepKey string
+		v                 any
+	}{
+		{"design", "designs", "ltrf+"},
+		{"workload", "workloads", "btree"},
+		{"tech", "techs", 7},
+		{"latency_x", "latency_xs", 6.3},
+		{"budget", "budget", 3000},
+		{"scheduler", "schedulers", "static"},
+		{"prefetch", "prefetch", "stride"},
+		{"ctas", "ctas", 2},
+		{"regs_per_interval", "regs_per_interval", 8},
+		{"active_warps", "active_warps", 4},
+	} {
+		evalBody := map[string]any{"design": "LTRF", "workload": "vectoradd", "budget": 2000, c.evalKey: c.v}
+		sweepBody := map[string]any{"designs": []any{"LTRF"}, "workloads": []any{"vectoradd"}, "budget": 2000, "include_stats": true}
+		if c.sweepKey == "budget" {
+			sweepBody["budget"] = c.v
+		} else {
+			sweepBody[c.sweepKey] = []any{c.v}
+		}
+
+		var er EvalRequest
+		var sr SweepRequest
+		roundTrip(t, evalBody, &er)
+		roundTrip(t, sweepBody, &sr)
+		want, err := parsePoint(&er)
+		if err != nil {
+			t.Fatalf("%s: eval: %v", c.evalKey, err)
+		}
+		pts, err := expandSweep(&sr, maxSweepPoints)
+		if err != nil {
+			t.Fatalf("%s: sweep: %v", c.evalKey, err)
+		}
+		if len(pts) != 1 || pts[0] != want {
+			t.Errorf("%s: sweep points %+v, want [%+v]", c.evalKey, pts, want)
+		}
+
+		code, m := post(t, evalTS.URL+"/v1/eval", evalBody)
+		if code != http.StatusOK {
+			t.Fatalf("%s: eval status = %d (%v)", c.evalKey, code, m)
+		}
+		var evalStats sim.Stats
+		if err := json.Unmarshal(m["stats"], &evalStats); err != nil {
+			t.Fatal(err)
+		}
+		var stats []*sim.Stats
+		for _, l := range decodeSweepStream(t, postSweep(t, sweepTS, sweepBody)) {
+			if l.Type == "result" {
+				stats = append(stats, l.Stats)
+			}
+		}
+		if len(stats) != 1 || stats[0] == nil {
+			t.Fatalf("%s: sweep result stats %v, want one", c.evalKey, stats)
+		}
+		if !reflect.DeepEqual(*stats[0], evalStats) {
+			t.Errorf("%s: sweep and eval Stats differ", c.evalKey)
+		}
+	}
+}
+
+// roundTrip decodes a request body the way the handlers see it.
+func roundTrip(t *testing.T, body map[string]any, v any) {
+	t.Helper()
+	data, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSweepIndexOrder pins the documented expansion order with every axis
+// at length 2: read in binary, a point's index names its value on each
+// axis, designs in the highest bit and workloads in the lowest.
+func TestSweepIndexOrder(t *testing.T) {
+	req := SweepRequest{
+		Designs: []string{"BL", "LTRF"}, Techs: []int{1, 7}, LatencyXs: []float64{1, 6.3},
+		Schedulers: []string{"", "static"}, Prefetch: []string{"", "stride"}, CTAs: []int{0, 2},
+		RegsPerInterval: []int{0, 8}, ActiveWarps: []int{0, 4}, Workloads: []string{"vectoradd", "sgemm"},
+		Budget: 2000,
+	}
+	pts, err := expandSweep(&req, maxSweepPoints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 1<<9 {
+		t.Fatalf("%d points, want 512", len(pts))
+	}
+	for i, got := range pts {
+		bit := func(axis int) int { return i >> (8 - axis) & 1 }
+		want := exp.Point{
+			Design:          sim.Design(req.Designs[bit(0)]),
+			Tech:            req.Techs[bit(1)],
+			LatencyX:        req.LatencyXs[bit(2)],
+			Scheduler:       sim.Scheduler(req.Schedulers[bit(3)]),
+			Prefetch:        req.Prefetch[bit(4)],
+			CTAs:            req.CTAs[bit(5)],
+			RegsPerInterval: req.RegsPerInterval[bit(6)],
+			ActiveWarps:     req.ActiveWarps[bit(7)],
+			Workload:        req.Workloads[bit(8)],
+			Unroll:          workloads.UnrollMaxwell,
+			Budget:          2000,
+		}
+		if got != want {
+			t.Fatalf("index %d = %+v, want %+v", i, got, want)
+		}
+	}
+}
+
+// TestSweepExpansionWithoutNewAxes pins the point list of a request that
+// uses only the axes a sweep took before regs_per_interval and
+// active_warps: absent, those two axes are one default value each, so
+// every index keeps its point (and spellings come back as given).
+func TestSweepExpansionWithoutNewAxes(t *testing.T) {
+	req := SweepRequest{
+		Designs: []string{"bl", "LTRF"}, Workloads: []string{"vectoradd", "sgemm"},
+		LatencyXs: []float64{1, 4}, Schedulers: []string{"twolevel"}, Prefetch: []string{"off"}, CTAs: []int{1},
+	}
+	pt := func(d string, lx float64, wl string) exp.Point {
+		return exp.Point{Design: sim.Design(d), Tech: 1, LatencyX: lx, Workload: wl, Unroll: workloads.UnrollMaxwell,
+			Budget: 40_000, Scheduler: sim.SchedTwoLevel, Prefetch: "off", CTAs: 1}
+	}
+	want := []exp.Point{
+		pt("BL", 1, "vectoradd"), pt("BL", 1, "sgemm"), pt("BL", 4, "vectoradd"), pt("BL", 4, "sgemm"),
+		pt("LTRF", 1, "vectoradd"), pt("LTRF", 1, "sgemm"), pt("LTRF", 4, "vectoradd"), pt("LTRF", 4, "sgemm"),
+	}
+	got, err := expandSweep(&req, maxSweepPoints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("expansion\n got %+v\nwant %+v", got, want)
 	}
 }

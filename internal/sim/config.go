@@ -167,7 +167,8 @@ type Config struct {
 }
 
 // DefaultConfig returns the Table 3 system for a design at baseline
-// technology (configuration #1) and latency 1x.
+// technology (configuration #1) and latency 1x, with a 200,000-instruction
+// budget and the cycle cap CycleCap gives any budget.
 func DefaultConfig(d Design) Config {
 	return Config{
 		Design:              d,
@@ -182,7 +183,7 @@ func DefaultConfig(d Design) Config {
 		ALULat:              6,
 		SFULat:              20,
 		Mem:                 memsys.DefaultHierarchy(),
-		MaxCycles:           600_000,
+		MaxCycles:           CycleCap(200_000),
 		MaxInstrs:           200_000,
 		DeactivateThreshold: 60,
 		Seed:                0x1234,

@@ -40,7 +40,6 @@ import (
 	"ltrf/internal/core"
 	"ltrf/internal/exp"
 	"ltrf/internal/isa"
-	"ltrf/internal/memsys"
 	"ltrf/internal/memtech"
 	"ltrf/internal/power"
 	"ltrf/internal/regalloc"
@@ -124,13 +123,9 @@ func DesignByName(name string) (Design, error) {
 // coverage earns on this kernel; regdem the gain of the spill set that fits
 // the shared memory the kernel's own usage leaves free.
 func DesignCapacityX(design Design, techConfig int, kernel *Program) (float64, error) {
-	c := sim.DefaultConfig(design)
-	if techConfig != 0 {
-		t, err := memtech.Config(techConfig)
-		if err != nil {
-			return 0, err
-		}
-		c.Tech = t
+	c, err := exp.Point{Design: design, Tech: techConfig}.Config()
+	if err != nil {
+		return 0, err
 	}
 	if _, err := c.Design.Descriptor(); err != nil {
 		return 0, err
@@ -273,7 +268,8 @@ type SimOptions struct {
 	// blocks): per-CTA barriers, per-CTA shared-memory budgets, and the
 	// CTA-aware prefetcher's stream key. 0 or 1 = one CTA (the default).
 	CTAsPerSM int
-	// MaxInstrs bounds the simulation (default 200k dynamic instructions).
+	// MaxInstrs bounds the simulation (default 200k dynamic instructions);
+	// the cycle cap is sim.CycleCap(MaxInstrs) whether it is set or not.
 	MaxInstrs int64
 	// Chip re-calibrates the chip-level energy account ChipEnergy scores
 	// results with (zero fields keep the defaults). Accounting only — it
@@ -287,36 +283,27 @@ type SimResult = sim.Result
 // GPUResult is a multi-SM simulation outcome.
 type GPUResult = sim.GPUResult
 
-// config derives the sim.Config for the options — the one place SimOptions
-// are applied, shared by Simulate and SimulateGPU so their handling cannot
-// drift.
+// config derives the sim.Config for the options, for every Simulate entry
+// point. The axes go through the experiment engine's one mapping
+// (exp.Point.Config), so a zero field keeps the same Table 3 default there
+// as here; MaxWarps and Chip are the façade's own extras.
 func (o SimOptions) config() (sim.Config, error) {
-	c := sim.DefaultConfig(o.Design)
-	if o.TechConfig != 0 {
-		t, err := memtech.Config(o.TechConfig)
-		if err != nil {
-			return sim.Config{}, err
-		}
-		c.Tech = t
-	}
-	if o.LatencyX != 0 {
-		c.LatencyX = o.LatencyX
-	}
-	if o.ActiveWarps != 0 {
-		c.ActiveWarps = o.ActiveWarps
-	}
-	if o.IntervalRegs != 0 {
-		c.RegsPerInterval = o.IntervalRegs
+	c, err := exp.Point{
+		Design:          o.Design,
+		Tech:            o.TechConfig,
+		LatencyX:        o.LatencyX,
+		Budget:          o.MaxInstrs,
+		RegsPerInterval: o.IntervalRegs,
+		ActiveWarps:     o.ActiveWarps,
+		Scheduler:       o.Scheduler,
+		Prefetch:        o.Prefetch,
+		CTAs:            o.CTAsPerSM,
+	}.Config()
+	if err != nil {
+		return sim.Config{}, err
 	}
 	if o.MaxWarps != 0 {
 		c.MaxWarps = o.MaxWarps
-	}
-	c.Scheduler = o.Scheduler
-	c.Mem.Prefetch.Mode = memsys.PrefetchMode(o.Prefetch)
-	c.CTAsPerSM = o.CTAsPerSM
-	if o.MaxInstrs != 0 {
-		c.MaxInstrs = o.MaxInstrs
-		c.MaxCycles = sim.CycleCap(o.MaxInstrs)
 	}
 	c.Chip = o.Chip
 	return c, nil

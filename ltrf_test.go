@@ -2,6 +2,7 @@ package ltrf_test
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -141,6 +142,29 @@ func TestSimulateHugeBudget(t *testing.T) {
 	if res.Cycles <= 12 || res.Truncated || !res.Finished {
 		t.Errorf("huge budget: %d cycles, truncated %v, finished %v; want a finished, untruncated run",
 			res.Cycles, res.Truncated, res.Finished)
+	}
+}
+
+// TestSimulateDefaultBudgetIsExplicitBudget pins that leaving MaxInstrs
+// at zero means exactly its documented 200,000-instruction default, cycle
+// cap included: a slow run (BL at the DWM point, 6.3x latency) that hits
+// the cap must hit the same one either way.
+func TestSimulateDefaultBudgetIsExplicitBudget(t *testing.T) {
+	w, err := ltrf.WorkloadByName("sgemm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernel := w.Build(ltrf.UnrollMaxwell)
+	var res [2]*ltrf.SimResult
+	for i, budget := range []int64{0, 200_000} {
+		res[i], err = ltrf.Simulate(ltrf.SimOptions{Design: ltrf.BL, TechConfig: 7, LatencyX: 6.3, MaxInstrs: budget}, kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(res[0], res[1]) {
+		t.Errorf("MaxInstrs 0: %d instrs / %d cycles (cap %d); MaxInstrs 200000: %d instrs / %d cycles (cap %d); want equal results",
+			res[0].Instrs, res[0].Cycles, res[0].Config.MaxCycles, res[1].Instrs, res[1].Cycles, res[1].Config.MaxCycles)
 	}
 }
 
