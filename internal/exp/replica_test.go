@@ -219,3 +219,52 @@ func TestEvalStreamCancelledPromptly(t *testing.T) {
 		}
 	}
 }
+
+// TestRunBatchDefersLeasedPoint: RunBatch drains EvalStream, so a batch
+// point whose lease another replica holds is deferred, not waited on. With
+// one worker and the first-dispatched point leased, the batch simulates the
+// other two points while the lease stands, and finishes the leased one only
+// after the lease is released.
+func TestRunBatchDefersLeasedPoint(t *testing.T) {
+	dir := t.TempDir()
+	st := openTestStore(t, dir)
+	eng := NewEngineWithStore(openTestStore(t, dir))
+	pts := coldGrid(3)
+	first := pts[eng.batchOrderIdx(pts)[0]]
+	lease, err := st.AcquireLease(first.canon().storeKey(), "other-replica", time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		eng.RunBatch(context.Background(), Options{Parallelism: 1}, pts)
+	}()
+	deadline := time.Now().Add(30 * time.Second)
+	for eng.Sims() < 2 {
+		if time.Now().After(deadline) {
+			n := eng.Sims()
+			lease.Release() //nolint:errcheck // unblock the batch before failing
+			<-done
+			t.Fatalf("Sims=%d while the lease was held, want 2 (the batch waited on the leased point)", n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	select {
+	case <-done:
+		t.Fatal("RunBatch returned while the leased point was still held elsewhere")
+	default:
+	}
+	if err := lease.Release(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("RunBatch did not finish after the lease was released")
+	}
+	if eng.Sims() != 3 {
+		t.Errorf("Sims=%d, want 3", eng.Sims())
+	}
+}

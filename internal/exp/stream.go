@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"ltrf/internal/sim"
 )
@@ -20,13 +21,14 @@ type StreamResult struct {
 // EvalStream evaluates pts on a bounded worker pool and delivers each
 // result on the returned channel AS IT COMPLETES — warm points (memoized or
 // store-resident) flush immediately instead of queueing behind cold
-// simulations. The channel is closed after the last delivery (or promptly
-// after ctx fires; points not yet delivered are simply absent — the caller
-// counts them as cancelled).
+// simulations. The channel is closed after the last delivery, once every
+// worker has returned (or promptly after ctx fires; points not yet
+// delivered are simply absent — the caller counts them as cancelled).
+// RunBatch is a drain of this stream.
 //
-// Dispatch reuses the engine's kernel-batched order (warm first in
-// declaration order, cold sorted by compiled-kernel identity) so the
-// compile cache hits across the sweep exactly as it does for RunBatch.
+// Dispatch follows the engine's kernel-batched order (batchOrderIdx: warm
+// first in declaration order, cold sorted by compiled-kernel identity) so
+// the compile cache hits across the batch.
 //
 // Cross-replica coordination is non-blocking: a cold point whose store
 // lease is held by another replica is DEFERRED — the worker moves on to the
@@ -39,95 +41,66 @@ func (e *Engine) EvalStream(ctx context.Context, workers int, pts []Point) <-cha
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := make(chan StreamResult)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(pts) {
-		workers = len(pts)
-	}
-	if len(pts) == 0 {
-		close(out)
-		return out
-	}
-
+	out := make(chan StreamResult)
 	go func() {
 		defer close(out)
-
-		emit := func(idx int, res *sim.Result, err error) bool {
+		emit := func(i int, res *sim.Result, err error) {
 			select {
-			case out <- StreamResult{Index: idx, Point: pts[idx], Res: res, Err: err}:
-				return true
+			case out <- StreamResult{Index: i, Point: pts[i], Res: res, Err: err}:
 			case <-ctx.Done():
-				return false
 			}
 		}
 
 		// Pass 1: kernel-batched dispatch, deferring lease-contended points.
-		var deferredMu sync.Mutex
+		var mu sync.Mutex
 		var deferred []int
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for idx := range jobs {
-					res, err := e.EvalNoWait(ctx, pts[idx])
-					if IsLeaseBusy(err) {
-						deferredMu.Lock()
-						deferred = append(deferred, idx)
-						deferredMu.Unlock()
-						continue
-					}
-					if !emit(idx, res, err) {
-						return
-					}
-				}
-			}()
-		}
-	dispatch:
-		for _, idx := range e.batchOrderIdx(pts) {
-			select {
-			case jobs <- idx:
-			case <-ctx.Done():
-				break dispatch
+		fanOut(ctx, workers, e.batchOrderIdx(pts), func(i int) {
+			res, err := e.EvalNoWait(ctx, pts[i])
+			if IsLeaseBusy(err) {
+				mu.Lock()
+				deferred = append(deferred, i)
+				mu.Unlock()
+				return
 			}
-		}
-		close(jobs)
-		wg.Wait()
-		if ctx.Err() != nil {
-			return
-		}
+			emit(i, res, err)
+		})
 
-		// Pass 2: deferred points, now with the blocking cross-replica wait.
-		// Most are store hits by now; stragglers poll until the owning
-		// replica publishes (or its lease expires and this engine takes the
-		// point over). Declaration order — batching no longer matters: these
-		// points are compiling (or compiled) on another replica, not here.
-		retry := make(chan int)
-		for w := 0; w < workers && w < len(deferred); w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for idx := range retry {
-					res, err := e.Eval(ctx, pts[idx])
-					if !emit(idx, res, err) {
-						return
-					}
-				}
-			}()
-		}
-	redispatch:
-		for _, idx := range deferred {
-			select {
-			case retry <- idx:
-			case <-ctx.Done():
-				break redispatch
-			}
-		}
-		close(retry)
-		wg.Wait()
+		// Pass 2: deferred points, in deferral order, now with the blocking
+		// cross-replica wait. Most are store hits by now; stragglers poll
+		// until the owning replica publishes (or its lease expires and this
+		// engine takes the point over). Kernel batching no longer matters:
+		// these points compile on another replica, not here.
+		fanOut(ctx, workers, deferred, func(i int) {
+			res, err := e.Eval(ctx, pts[i])
+			emit(i, res, err)
+		})
 	}()
 	return out
+}
+
+// fanOut is the engine's one worker pool: it calls fn(i) for each i in idx,
+// handing indices out in order to at most workers goroutines, and returns
+// once every started call has returned. Once ctx is done no further index
+// is handed out.
+func fanOut(ctx context.Context, workers int, idx []int, fn func(i int)) {
+	workers = min(workers, len(idx))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				k := int(next.Add(1)) - 1
+				if k >= len(idx) {
+					return
+				}
+				fn(idx[k])
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -39,6 +39,8 @@ func TestPostBodiesStrict(t *testing.T) {
 		{"trailing garbage", func(v string) string { return v + ` trailing-garbage` }, http.StatusBadRequest, "bad_request"},
 		{"stray close", func(v string) string { return v + `}` }, http.StatusBadRequest, "bad_request"},
 		{"unknown field", func(string) string { return `{"bogus_field":1}` }, http.StatusBadRequest, "bad_request"},
+		// No request sets the engine's worker-pool width.
+		{"parallelism", func(v string) string { return v[:len(v)-1] + `,"parallelism":2}` }, http.StatusBadRequest, "bad_request"},
 		{"malformed", func(v string) string { return v[:len(v)-1] }, http.StatusBadRequest, "bad_request"},
 		{"oversized value", func(string) string { return `{"design":"` + strings.Repeat("x", 1024) + `"}` }, http.StatusRequestEntityTooLarge, "body_too_large"},
 		{"oversized tail", func(v string) string { return v + strings.Repeat(" ", 1024) }, http.StatusRequestEntityTooLarge, "body_too_large"},

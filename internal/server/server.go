@@ -482,14 +482,14 @@ func (s *Server) writeEvalError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, errorEnvelope{body})
 }
 
-// ExperimentRequest regenerates one paper artifact.
+// ExperimentRequest regenerates one paper artifact. Its points run on the
+// engine's worker pool at GOMAXPROCS width, as a sweep's do.
 type ExperimentRequest struct {
-	ID          string   `json:"id"`
-	Quick       bool     `json:"quick"`
-	Workloads   []string `json:"workloads,omitempty"`
-	Designs     []string `json:"designs,omitempty"`
-	Parallelism int      `json:"parallelism,omitempty"`
-	TimeoutMS   int64    `json:"timeout_ms,omitempty"`
+	ID        string   `json:"id"`
+	Quick     bool     `json:"quick"`
+	Workloads []string `json:"workloads,omitempty"`
+	Designs   []string `json:"designs,omitempty"`
+	TimeoutMS int64    `json:"timeout_ms,omitempty"`
 }
 
 // ExperimentResponse is a rendered artifact.
@@ -511,11 +511,10 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := exp.Options{
-		Quick:       req.Quick,
-		Workloads:   req.Workloads,
-		Designs:     req.Designs,
-		Parallelism: req.Parallelism,
-		Engine:      s.cfg.Engine,
+		Quick:     req.Quick,
+		Workloads: req.Workloads,
+		Designs:   req.Designs,
+		Engine:    s.cfg.Engine,
 	}
 	spec, err := exp.ByID(req.ID)
 	if err == nil {

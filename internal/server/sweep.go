@@ -29,7 +29,8 @@ import (
 // the stream was cut (client disconnect, server death).
 //
 // The whole sweep occupies ONE admission slot (it is one request); its
-// internal fan-out is bounded by the request's parallelism field.
+// points fan out over the engine's worker pool at GOMAXPROCS width. A
+// client cannot widen that pool: the request has no parallelism field.
 
 // SweepRequest declares the grid as per-axis value lists; the grid is their
 // cross product. An empty optional axis contributes one zero value, which
@@ -57,9 +58,6 @@ type SweepRequest struct {
 	// IncludeStats embeds the full sim.Stats in every result record
 	// (voluminous; off by default).
 	IncludeStats bool `json:"include_stats,omitempty"`
-	// Parallelism bounds concurrently simulated points within this sweep
-	// (0 = GOMAXPROCS).
-	Parallelism int `json:"parallelism,omitempty"`
 	// TimeoutMS caps the whole sweep; 0 uses the server default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
@@ -240,7 +238,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	sum := SweepSummary{Type: "summary", Points: len(pts)}
-	stream := s.cfg.Engine.EvalStream(ctx, req.Parallelism, pts)
+	stream := s.cfg.Engine.EvalStream(ctx, 0, pts)
 	done := 0
 	for stream != nil {
 		select {
